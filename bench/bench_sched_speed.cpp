@@ -90,6 +90,7 @@ void BM_LcfDistRrReference(benchmark::State& state) {
 void BM_Pim(benchmark::State& state) { run_scheduler(state, "pim"); }
 void BM_Islip(benchmark::State& state) { run_scheduler(state, "islip"); }
 void BM_Wavefront(benchmark::State& state) { run_scheduler(state, "wfront"); }
+void BM_Fifo(benchmark::State& state) { run_scheduler(state, "fifo"); }
 void BM_MaxSize(benchmark::State& state) { run_scheduler(state, "maxsize"); }
 
 void BM_RtlDatapath(benchmark::State& state) {
@@ -123,6 +124,7 @@ BENCHMARK(BM_LcfDistRrReference)->Apply(radix_args);
 BENCHMARK(BM_Pim)->Apply(radix_args);
 BENCHMARK(BM_Islip)->Apply(radix_args);
 BENCHMARK(BM_Wavefront)->Apply(radix_args);
+BENCHMARK(BM_Fifo)->Apply(radix_args);
 BENCHMARK(BM_MaxSize)->Apply(radix_args);
 BENCHMARK(BM_RtlDatapath)->Arg(8)->Arg(16)->Arg(32);
 

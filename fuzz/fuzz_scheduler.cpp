@@ -75,7 +75,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     }
 
     lcf::obs::ParanoidChecker checker(
-        lcf::obs::ParanoidChecker::options_for(name, config.iterations));
+        lcf::obs::ParanoidChecker::options_for(name,
+                                              scheduler->iteration_limit()));
     checker.reset(ports, ports);
 
     sched::RequestMatrix requests(ports);

@@ -16,10 +16,7 @@ ParanoidOptions ParanoidChecker::options_for(std::string_view scheduler_name,
     opts.check_diagonal_fairness = scheduler_name == "lcf_central_rr" ||
                                    scheduler_name == "lcf_central_rr_single" ||
                                    scheduler_name == "lcf_central_rr_first";
-    const bool iterative =
-        scheduler_name == "pim" || scheduler_name == "islip" ||
-        scheduler_name == "lcf_dist" || scheduler_name == "lcf_dist_rr";
-    if (iterative) opts.iteration_budget = iterations;
+    opts.iteration_budget = iterations;
     return opts;
 }
 

@@ -52,8 +52,9 @@ public:
     /// Options appropriate for the named scheduler: diagonal fairness on
     /// for the rotating-diagonal central variants ("lcf_central_rr",
     /// "lcf_central_rr_single", "lcf_central_rr_first"), iteration
-    /// budget set for the iterative matchers ("pim", "islip", "lcf_dist",
-    /// "lcf_dist_rr") when `iterations` is nonzero.
+    /// budget `iterations` — pass the scheduler's iteration_limit(), whose
+    /// 0 for algorithms that are not iteration-limited leaves the check
+    /// off.
     static ParanoidOptions options_for(std::string_view scheduler_name,
                                        std::size_t iterations);
 

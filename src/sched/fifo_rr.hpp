@@ -8,6 +8,8 @@
 
 #include <vector>
 
+#include "util/bitvec.hpp"
+
 namespace lcf::sched {
 
 /// Round-robin arbitration over head-of-line requests.
@@ -15,7 +17,8 @@ namespace lcf::sched {
 /// The simulator presents a request matrix whose rows each contain at most
 /// one set bit (the HOL destination). Each output picks among its
 /// contenders with a rotating grant pointer that advances past the granted
-/// input, so persistent contenders share the output evenly.
+/// input, so persistent contenders share the output evenly. The pick is
+/// the first set bit at or after the pointer in col(j) ∧ free inputs.
 class FifoRrScheduler final : public Scheduler {
 public:
     void reset(std::size_t inputs, std::size_t outputs) override;
@@ -26,7 +29,8 @@ public:
 
 private:
     std::vector<std::size_t> grant_ptr_;  // per-output rotating pointer
-    std::size_t inputs_ = 0;
+    util::BitVec free_inputs_;            // scratch: inputs not yet matched
+    util::BitVec candidates_;
 };
 
 }  // namespace lcf::sched

@@ -29,7 +29,9 @@ void IlqfScheduler::schedule(const RequestMatrix& requests, Matching& out) {
     out.reset(n_in, n_out);
     grant_to_.assign(n_out, kUnmatched);
 
+    last_iterations_ = 0;
     for (std::size_t iter = 0; iter < iterations_; ++iter) {
+        ++last_iterations_;
         // Grant: each unmatched output grants the requesting unmatched
         // input with the longest VOQ; the rotating chain breaks ties.
         bool any_grant = false;

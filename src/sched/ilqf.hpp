@@ -27,6 +27,12 @@ public:
     [[nodiscard]] std::string_view name() const noexcept override {
         return "ilqf";
     }
+    [[nodiscard]] std::size_t last_iterations() const noexcept override {
+        return last_iterations_;
+    }
+    [[nodiscard]] std::size_t iteration_limit() const noexcept override {
+        return iterations_;
+    }
 
     [[nodiscard]] bool wants_queue_lengths() const noexcept override {
         return true;
@@ -39,6 +45,7 @@ private:
                                        std::size_t output) const noexcept;
 
     std::size_t iterations_;
+    std::size_t last_iterations_ = 0;
     std::size_t outputs_ = 0;
     std::vector<std::uint32_t> lengths_;  // row-major snapshot, may be empty
     std::size_t cycle_ = 0;               // rotates the tie-break chains

@@ -10,9 +10,17 @@
 
 #include <vector>
 
+#include "util/bitvec.hpp"
+
 namespace lcf::sched {
 
 /// iSLIP with a configurable iteration count.
+///
+/// Word-parallel: an output's grant is the first set bit at or after its
+/// pointer in col(j) ∧ free inputs, and an input's accept is the first
+/// set bit at or after its pointer in the vector of outputs that granted
+/// it — the same rotated scans as the per-bit pseudocode, a word at a
+/// time.
 class IslipScheduler final : public Scheduler {
 public:
     explicit IslipScheduler(const SchedulerConfig& config = {});
@@ -32,9 +40,14 @@ public:
 private:
     std::size_t iterations_;
     std::size_t last_iterations_ = 0;
-    std::vector<std::size_t> grant_ptr_;   // per-output g[j]
-    std::vector<std::size_t> accept_ptr_;  // per-input a[i]
-    std::vector<std::int32_t> grant_to_;   // output -> granted input, per iter
+    std::vector<std::size_t> grant_ptr_;   // per-output g[j], < inputs
+    std::vector<std::size_t> accept_ptr_;  // per-input a[i], < outputs
+    // Scratch reused across slots.
+    util::BitVec free_inputs_;
+    util::BitVec free_outputs_;
+    util::BitVec granted_inputs_;           // inputs granted this iteration
+    std::vector<util::BitVec> granted_by_;  // per input: outputs granting it
+    util::BitVec candidates_;
 };
 
 }  // namespace lcf::sched

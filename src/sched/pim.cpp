@@ -15,6 +15,12 @@ void PimScheduler::schedule(const RequestMatrix& requests, Matching& out) {
     const std::size_t n_out = requests.outputs();
     out.reset(n_in, n_out);
     if (grants_.size() != n_in) grants_.assign(n_in, {});
+    if (free_inputs_.size() != n_in) {
+        free_inputs_ = util::BitVec(n_in);
+        granted_inputs_ = util::BitVec(n_in);
+        candidates_ = util::BitVec(n_in);
+    }
+    free_inputs_.fill();
 
     last_iterations_ = 0;
     for (std::size_t iter = 0; iter < iterations_; ++iter) {
@@ -22,36 +28,33 @@ void PimScheduler::schedule(const RequestMatrix& requests, Matching& out) {
         // Grant: each unmatched output picks uniformly at random among the
         // unmatched inputs requesting it (reservoir sampling over the
         // column avoids materialising contender lists).
-        for (auto& g : grants_) g.clear();
-        bool any_grant = false;
         for (std::size_t j = 0; j < n_out; ++j) {
             if (out.output_matched(j)) continue;
-            std::int32_t chosen = kUnmatched;
+            candidates_.assign_and(requests.col(j), free_inputs_);
+            std::size_t chosen = util::BitVec::npos;
             std::uint64_t seen = 0;
-            for (std::size_t i = 0; i < n_in; ++i) {
-                if (out.input_matched(i) || !requests.get(i, j)) continue;
+            for (const std::size_t i : candidates_.set_bits()) {
                 ++seen;
-                if (rng_.next_below(seen) == 0) {
-                    chosen = static_cast<std::int32_t>(i);
-                }
+                if (rng_.next_below(seen) == 0) chosen = i;
             }
-            if (chosen != kUnmatched) {
-                grants_[static_cast<std::size_t>(chosen)].push_back(
-                    static_cast<std::int32_t>(j));
-                any_grant = true;
+            if (chosen != util::BitVec::npos) {
+                grants_[chosen].push_back(static_cast<std::int32_t>(j));
+                granted_inputs_.set(chosen);
             }
         }
-        if (!any_grant) break;  // converged: no augmenting grants possible
+        if (granted_inputs_.none()) break;  // converged: no augmenting grants
 
         // Accept: each input with grants picks one uniformly at random.
-        for (std::size_t i = 0; i < n_in; ++i) {
-            const auto& g = grants_[i];
-            if (g.empty()) continue;
+        for (const std::size_t i : granted_inputs_.set_bits()) {
+            auto& g = grants_[i];
             const std::size_t pick =
                 g.size() == 1 ? 0
                               : static_cast<std::size_t>(rng_.next_below(g.size()));
             out.match(i, static_cast<std::size_t>(g[pick]));
+            free_inputs_.reset(i);
+            g.clear();
         }
+        granted_inputs_.clear();
     }
 }
 

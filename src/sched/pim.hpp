@@ -8,11 +8,16 @@
 
 #include <vector>
 
+#include "util/bitvec.hpp"
 #include "util/rng.hpp"
 
 namespace lcf::sched {
 
 /// PIM with a configurable iteration count (paper's Figure 12 uses 4).
+///
+/// An output's contenders are the set bits of col(j) ∧ free inputs,
+/// visited in ascending order, so reservoir sampling over them makes the
+/// same random draws as a per-bit scan of the column.
 class PimScheduler final : public Scheduler {
 public:
     explicit PimScheduler(const SchedulerConfig& config = {});
@@ -35,8 +40,10 @@ private:
     util::Xoshiro256 rng_;
     std::uint64_t seed_;
     // Scratch reused across slots to avoid per-slot allocation.
-    std::vector<std::int32_t> grant_of_input_;   // output that granted input i
     std::vector<std::vector<std::int32_t>> grants_;  // grants received per input
+    util::BitVec free_inputs_;
+    util::BitVec granted_inputs_;  // inputs holding a grant this iteration
+    util::BitVec candidates_;
 };
 
 }  // namespace lcf::sched

@@ -16,7 +16,9 @@ void RrmScheduler::schedule(const RequestMatrix& requests, Matching& out) {
     out.reset(n_in, n_out);
     grant_to_.assign(n_out, kUnmatched);
 
+    last_iterations_ = 0;
     for (std::size_t iter = 0; iter < iterations_; ++iter) {
+        ++last_iterations_;
         bool any_grant = false;
         for (std::size_t j = 0; j < n_out; ++j) {
             grant_to_[j] = kUnmatched;

@@ -24,9 +24,16 @@ public:
     [[nodiscard]] std::string_view name() const noexcept override {
         return "rrm";
     }
+    [[nodiscard]] std::size_t last_iterations() const noexcept override {
+        return last_iterations_;
+    }
+    [[nodiscard]] std::size_t iteration_limit() const noexcept override {
+        return iterations_;
+    }
 
 private:
     std::size_t iterations_;
+    std::size_t last_iterations_ = 0;
     std::vector<std::size_t> grant_ptr_;   // per-output
     std::vector<std::size_t> accept_ptr_;  // per-input
     std::vector<std::int32_t> grant_to_;   // scratch

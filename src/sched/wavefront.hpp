@@ -6,16 +6,26 @@
 // is swept first rotates every slot, which provides round-robin fairness.
 
 #include "sched/scheduler.hpp"
+
+#include <vector>
+
 #include "util/bitvec.hpp"
 
 namespace lcf::sched {
 
 /// Wrapped wavefront arbiter (`wfront` in the paper's Figure 12).
 ///
-/// The software sweep keeps a free-inputs bit vector and walks only the
-/// still-unmatched rows of each diagonal (in ascending row order, so the
-/// result is identical to the naive full scan), terminating early once
-/// every input is matched.
+/// At sweep step s, row i meets the cell in column
+/// (first + s − i mod n_out) mod n_out, so each row walks its own
+/// request vector in rotated order. The software sweep therefore files
+/// every row under the step of its first requested cell
+/// (`find_first_from` on the row) and visits the steps in order, rows
+/// of one step in ascending order, exactly as the naive full scan
+/// does. A row whose output was taken by an earlier cell moves on to
+/// the step of its next requested output that is still free; with
+/// more inputs than outputs, two rows of one diagonal share an output,
+/// so that check stays. Steps where a row has no request, or only
+/// taken outputs, cost nothing.
 class WavefrontScheduler final : public Scheduler {
 public:
     void reset(std::size_t inputs, std::size_t outputs) override;
@@ -25,8 +35,10 @@ public:
     }
 
 private:
-    std::size_t priority_diag_ = 0;  // diagonal swept first this slot
-    util::BitVec free_inputs_;       // scratch: inputs not yet matched
+    std::size_t priority_diag_ = 0;        // diagonal swept first this slot
+    std::vector<util::BitVec> step_rows_;  // scratch: rows due at each step
+    util::BitVec free_outputs_;            // scratch: outputs not yet matched
+    util::BitVec candidates_;              // scratch: a row's free requests
 };
 
 }  // namespace lcf::sched

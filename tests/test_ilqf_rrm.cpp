@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "core/factory.hpp"
+#include "obs/paranoid_checker.hpp"
 #include "sched/ilqf.hpp"
 #include "sched/rrm.hpp"
 #include "sim/runner.hpp"
@@ -130,6 +134,40 @@ TEST(Rrm, SimulationSaturatesBelowIslip) {
         sim::run_named("islip", config, "uniform", 0.95,
                        SchedulerConfig{.iterations = 1});
     EXPECT_GT(rrm.mean_delay, islip.mean_delay);
+}
+
+// Both are iteration-limited matchers, so a paranoid run must carry
+// their configured budget and hold them to it.
+TEST(IlqfRrm, ParanoidRunChecksIterationBudget) {
+    for (const char* name : {"rrm", "ilqf"}) {
+        SCOPED_TRACE(name);
+        auto s = core::make_scheduler(name, SchedulerConfig{.iterations = 3});
+        EXPECT_EQ(s->iteration_limit(), 3u);
+        obs::ParanoidChecker checker(obs::ParanoidChecker::options_for(
+            s->name(), s->iteration_limit()));
+        EXPECT_EQ(checker.options().iteration_budget, 3u);
+        checker.reset(8, 8);
+        s->reset(8, 8);
+
+        util::Xoshiro256 rng(17);
+        Matching m;
+        std::size_t multi_iteration_cycles = 0;
+        for (int trial = 0; trial < 200; ++trial) {
+            RequestMatrix r(8);
+            for (std::size_t i = 0; i < 8; ++i) {
+                for (std::size_t j = 0; j < 8; ++j) {
+                    if (rng.next_bool(0.5)) r.set(i, j);
+                }
+            }
+            s->schedule(r, m);
+            checker.check_cycle(r, m);
+            EXPECT_GE(s->last_iterations(), 1u);
+            EXPECT_EQ(checker.check_iterations(s->last_iterations()), 0u);
+            if (s->last_iterations() > 1) ++multi_iteration_cycles;
+        }
+        EXPECT_GT(multi_iteration_cycles, 0u);
+        EXPECT_THROW(checker.check_iterations(4), std::logic_error);
+    }
 }
 
 }  // namespace

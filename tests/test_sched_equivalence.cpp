@@ -4,8 +4,12 @@
 // per-bit transcription of the paper's pseudocode kept in
 // core/lcf_reference.hpp) on every cycle of a long randomized run, over
 // square and rectangular geometries and every round-robin variant. The
-// optimized schedulers' outputs additionally run under the
-// ParanoidChecker, so the optimizations cannot trade invariants for
+// Figure-12 baselines (islip, pim, wfront, fifo) are held to the same
+// standard against the test-only per-bit oracles in baseline_oracles.hpp.
+// Both twins keep their instance across all cycles of a geometry, so
+// diverging round-robin pointers or RNG streams show up as a later
+// mismatch. The optimized schedulers' outputs additionally run under
+// the ParanoidChecker, so the optimizations cannot trade invariants for
 // speed.
 
 #include <gtest/gtest.h>
@@ -15,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "baseline_oracles.hpp"
 #include "core/factory.hpp"
 #include "core/lcf_central.hpp"
 #include "core/lcf_reference.hpp"
@@ -55,6 +60,17 @@ sched::RequestMatrix random_requests(util::Xoshiro256& rng,
 
 constexpr std::size_t kCycles = 250;
 
+// The per-bit twin of `name`: a test-only oracle for the Figure-12
+// baselines, the registered `*_reference` scheduler for the lcf_* ones.
+std::unique_ptr<sched::Scheduler> make_twin(
+    const std::string& name, const sched::SchedulerConfig& config) {
+    if (name == "islip") return std::make_unique<oracle::IslipOracle>(config);
+    if (name == "pim") return std::make_unique<oracle::PimOracle>(config);
+    if (name == "wfront") return std::make_unique<oracle::WavefrontOracle>();
+    if (name == "fifo") return std::make_unique<oracle::FifoRrOracle>();
+    return core::make_scheduler(name + "_reference", config);
+}
+
 class SchedEquivalence : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SchedEquivalence, BitIdenticalToReferenceOverRandomCycles) {
@@ -62,7 +78,7 @@ TEST_P(SchedEquivalence, BitIdenticalToReferenceOverRandomCycles) {
     const sched::SchedulerConfig config{.iterations = 4, .seed = 7};
     for (const Geometry& g : kGeometries) {
         auto opt = core::make_scheduler(name, config);
-        auto ref = core::make_scheduler(name + "_reference", config);
+        auto ref = make_twin(name, config);
         opt->reset(g.inputs, g.outputs);
         ref->reset(g.inputs, g.outputs);
 
@@ -98,6 +114,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("lcf_central", "lcf_central_rr",
                       "lcf_central_rr_single", "lcf_central_rr_first",
                       "lcf_dist", "lcf_dist_rr"),
+    [](const auto& param_info) { return param_info.param; });
+
+// 20x12 gives wfront diagonals whose rows share an output; the random
+// dense matrices give fifo inputs with more than one (non-HOL) request.
+INSTANTIATE_TEST_SUITE_P(
+    Fig12Baselines, SchedEquivalence,
+    ::testing::Values("islip", "pim", "wfront", "fifo"),
     [](const auto& param_info) { return param_info.param; });
 
 TEST(SchedEquivalence, ReferenceNamesRoundTripThroughFactory) {

@@ -90,6 +90,41 @@ TEST(SimGolden, PermutationIslip) {
          0.84606944444444443});
 }
 
+// The Figure-12 baselines in the benchmark's regime: 64 ports, bursty
+// traffic, load 0.9. Recorded from the per-bit schedulers, before their
+// word-parallel rewrite; "fifo" runs in kFifo mode through run_named().
+sim::SimResult run_fig12_point(const std::string& sched) {
+    sim::SimConfig c;
+    c.ports = 64;
+    c.slots = 4000;
+    c.warmup_slots = 400;
+    c.seed = 6464;
+    return sim::run_named(sched, c, "bursty", 0.9,
+                          sched::SchedulerConfig{.iterations = 4,
+                                                 .seed = 6464});
+}
+
+TEST(SimGolden, Fig12BurstyPim) {
+    expect_matches_golden(
+        run_fig12_point("pim"),
+        {243895, 227382, 0, 203012, 227382, 178.33153212617864, 1074.0,
+         0.9008897569444444, 10.510881076388889});
+}
+
+TEST(SimGolden, Fig12BurstyWfront) {
+    expect_matches_golden(
+        run_fig12_point("wfront"),
+        {243895, 225627, 0, 201257, 225627, 194.25653766080131, 1130.0,
+         0.89461371527777778, 11.216037326388889});
+}
+
+TEST(SimGolden, Fig12BurstyFifo) {
+    expect_matches_golden(
+        run_fig12_point("fifo"),
+        {243895, 130600, 49339, 106230, 130600, 1100.793222253586, 1959.0,
+         0.5086414930555555, 0.0});
+}
+
 // ---------------------------------------------------------------------
 // sweep(): golden values and thread-count independence.
 
