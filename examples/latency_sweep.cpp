@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -119,9 +120,18 @@ int main(int argc, char** argv) {
     config.record_service_matrix = record_service_matrix;
     config.paranoid = paranoid;
 
-    const auto points = lcf::sim::sweep(
-        names, loads, config, traffic,
-        lcf::sched::SchedulerConfig{.iterations = iterations}, threads);
+    // A configuration the simulator rejects (speedup 0, a Clos group
+    // that does not divide the ports, zero-capacity VOQs, a load above
+    // 1, ...) is a usage error, reported like an unknown flag.
+    std::vector<lcf::sim::SweepPoint> points;
+    try {
+        points = lcf::sim::sweep(
+            names, loads, config, traffic,
+            lcf::sched::SchedulerConfig{.iterations = iterations}, threads);
+    } catch (const std::invalid_argument& e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 2;
+    }
 
     lcf::util::AsciiTable t;
     t.header({"scheduler", "load", "mean delay", "p50", "p99", "throughput",

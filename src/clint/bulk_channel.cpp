@@ -99,7 +99,7 @@ std::uint16_t BulkChannelSim::request_mask(const Host& h) const {
     // queue re-request their target.
     std::uint16_t mask = 0;
     for (std::size_t j = 0; j < config_.hosts; ++j) {
-        if (h.voqs.queue(j).size() > h.committed[j]) {
+        if (h.voqs.size(j) > h.committed[j]) {
             mask = static_cast<std::uint16_t>(mask | (1U << j));
         }
     }
@@ -116,7 +116,7 @@ void BulkChannelSim::crash_host(std::size_t host) {
     // receiver-side trackers keep advancing; copies whose delivery
     // already landed (only the ack was pending) just disappear.
     for (std::size_t j = 0; j < config_.hosts; ++j) {
-        while (!h.voqs.queue(j).empty()) {
+        while (!h.voqs.empty(j)) {
             const sim::Packet p = h.voqs.pop(j);
             ++stats_.crash_lost;
             seq_.skip(flow_of(p), p.flow_seq);
@@ -284,7 +284,7 @@ void BulkChannelSim::step_transfers() {
             delivered_before = rit->delivered;
             h.retransmit.erase(rit);
         } else {
-            assert(!h.voqs.queue(target).empty());
+            assert(!h.voqs.empty(target));
             packet = h.voqs.pop(target);
         }
 

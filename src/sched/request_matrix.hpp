@@ -17,10 +17,13 @@ namespace lcf::sched {
 /// Row r is the request vector of input r (one bit per output), so
 /// schedulers can intersect/scan rows word-parallel. Output-centric
 /// algorithms (wavefront, central LCF, the distributed grant stage) use
-/// col(): a lazily maintained transposed view whose column j is the bit
-/// vector of j's requesters, rebuilt at most once per mutation burst so
-/// a scheduling cycle pays O(requests) for all its column scans instead
-/// of O(n) single-bit tests per column.
+/// col(): a transposed view whose column j is the bit vector of j's
+/// requesters. set() and clear() keep a built view valid in place;
+/// only mutable row() access invalidates it, and the next col() then
+/// rebuilds it once for all columns. A matrix that is only ever
+/// changed through set() — the switch simulator's, which flips a bit
+/// exactly when a VOQ turns empty <-> non-empty — therefore pays the
+/// transpose once, not once per scheduling cycle.
 class RequestMatrix {
 public:
     RequestMatrix() = default;
@@ -49,16 +52,17 @@ public:
     [[nodiscard]] const util::BitVec& row(std::size_t input) const noexcept {
         return rows_[input];
     }
-    /// Mutable row access (the simulator rebuilds rows in place).
-    /// Invalidates the column view — it is rebuilt on the next col() call.
+    /// Mutable row access, for filling whole rows at once (benchmarks,
+    /// random test matrices). Invalidates the column view — it is
+    /// rebuilt on the next col() call.
     [[nodiscard]] util::BitVec& row(std::size_t input) noexcept {
         cols_valid_ = false;
         return rows_[input];
     }
 
     /// Column `output` as a bit vector over inputs, from the transposed
-    /// view (rebuilt lazily after mutations). The reference is
-    /// invalidated by any mutation. Like all lazy caches this is not
+    /// view (rebuilt lazily after mutable row() access, which also
+    /// invalidates the reference). Like all lazy caches this is not
     /// safe against concurrent first reads — every simulated switch owns
     /// its matrix, so sharing a matrix across threads requires an
     /// explicit sync_columns() beforehand.
@@ -93,8 +97,8 @@ private:
 
     std::vector<util::BitVec> rows_;
     std::size_t outputs_ = 0;
-    // Transposed view, maintained lazily: rebuilt on first col() access
-    // after a mutation through clear()/row(); set() updates it in place.
+    // Transposed view: rebuilt on the first col() access after mutable
+    // row() access; set() and clear() update it in place.
     mutable std::vector<util::BitVec> cols_;
     mutable bool cols_valid_ = false;
 };

@@ -3,34 +3,62 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 namespace lcf::sim {
+
+namespace {
+
+// Every argument is checked before any state is built, so a bad
+// configuration fails with std::invalid_argument instead of a
+// half-constructed simulator or a silently empty run.
+const SimConfig& checked(const SimConfig& config,
+                         const sched::Scheduler* scheduler,
+                         const traffic::TrafficGenerator* traffic) {
+    if (config.ports == 0) {
+        throw std::invalid_argument("ports must be positive");
+    }
+    if (traffic == nullptr) {
+        throw std::invalid_argument("traffic generator required");
+    }
+    if (config.mode != SwitchMode::kOutputBuffered && scheduler == nullptr) {
+        throw std::invalid_argument("scheduler required for input-queued modes");
+    }
+    if (config.speedup == 0) {
+        throw std::invalid_argument("speedup must be at least 1");
+    }
+    if (config.clos_middle > 0 &&
+        (config.clos_group == 0 || config.ports % config.clos_group != 0)) {
+        throw std::invalid_argument("ports must be a multiple of clos_group");
+    }
+    if (config.mode == SwitchMode::kVoq) {
+        if (config.voq_capacity == 0) {
+            throw std::invalid_argument("voq_capacity must be positive");
+        }
+        if (config.voq_capacity > VoqBank::kMaxEntries / config.ports) {
+            throw std::invalid_argument(
+                "ports x voq_capacity must fit the VOQ pool's 32-bit links");
+        }
+    }
+    return config;
+}
+
+}  // namespace
 
 SwitchSim::SwitchSim(const SimConfig& config,
                      std::unique_ptr<sched::Scheduler> scheduler,
                      std::unique_ptr<traffic::TrafficGenerator> traffic)
-    : config_(config),
+    : config_(checked(config, scheduler.get(), traffic.get())),
       scheduler_(std::move(scheduler)),
       traffic_(std::move(traffic)),
       metrics_(config.ports, config.ports, config.warmup_slots,
                config.record_service_matrix),
       requests_(config.ports),
       matching_(config.ports) {
-    if (config_.ports == 0) {
-        throw std::invalid_argument("ports must be positive");
-    }
-    if (traffic_ == nullptr) {
-        throw std::invalid_argument("traffic generator required");
-    }
-    if (config_.mode != SwitchMode::kOutputBuffered && scheduler_ == nullptr) {
-        throw std::invalid_argument("scheduler required for input-queued modes");
-    }
-
+    // Build the column view once; set() keeps it valid from here on.
+    requests_.sync_columns();
     traffic_->reset(config_.ports, config_.ports, config_.seed);
     arrival_buf_.assign(config_.ports, traffic::kNoArrival);
-    if (config_.speedup == 0) {
-        throw std::invalid_argument("speedup must be at least 1");
-    }
     switch (config_.mode) {
         case SwitchMode::kVoq:
             input_queues_.assign(config_.ports,
@@ -74,26 +102,21 @@ SwitchSim::SwitchSim(const SimConfig& config,
         injector_->reset(config_.ports);
     }
     if (config_.clos_middle > 0) {
-        if (config_.clos_group == 0 ||
-            config_.ports % config_.clos_group != 0) {
-            throw std::invalid_argument(
-                "ports must be a multiple of clos_group");
-        }
         clos_.emplace(config_.clos_group, config_.clos_middle,
                       config_.ports / config_.clos_group);
     }
 }
 
-void SwitchSim::observe_schedule() {
+void SwitchSim::observe_schedule(const sched::RequestMatrix& requests) {
     // Observe the matching as produced by the scheduler, before the
     // fabric may reject connections: the invariants being checked (and
     // the starvation ages) are properties of the scheduler itself.
-    counters_.observe_cycle(requests_.total(), matching_.size());
+    counters_.observe_cycle(requests.total(), matching_.size());
     if (trace_) {
-        trace_->record(counters_.cycles - 1, requests_, matching_);
+        trace_->record(counters_.cycles - 1, requests, matching_);
     }
     if (checker_) {
-        checker_->check_cycle(requests_, matching_);
+        checker_->check_cycle(requests, matching_);
         checker_->check_iterations(scheduler_->last_iterations());
     }
 }
@@ -147,13 +170,18 @@ void SwitchSim::step_arrivals() {
 void SwitchSim::step_voq_mode() {
     // PQ -> VOQ: move packets as long as the head's VOQ has space
     // ("buffered in the packet queues and next, if space permits, in the
-    // virtual output queues").
+    // virtual output queues"). A VOQ turning non-empty raises its
+    // request bit.
     for (std::size_t i = 0; i < config_.ports; ++i) {
         auto& pq = input_queues_[i];
-        while (!pq.empty() &&
-               !voqs_[i].queue(pq.front().destination).full()) {
+        auto& bank = voqs_[i];
+        while (!pq.empty() && !bank.full(pq.front().destination)) {
             const std::size_t dst = pq.front().destination;
-            voqs_[i].push(pq.pop());
+            if (bank.empty(dst)) {
+                requests_.set(i, dst);
+                ++nonempty_voqs_;
+            }
+            bank.push(pq.pop());
             if (track_queue_lengths_) {
                 ++queue_lengths_[i * config_.ports + dst];
             }
@@ -170,28 +198,15 @@ void SwitchSim::step_voq_mode() {
         matching_.reset(config_.ports, config_.ports);
     }
     for (std::size_t phase = 0; !stalled && phase < config_.speedup; ++phase) {
-        // Request matrix from VOQ occupancy: a word copy of each bank's
-        // incrementally maintained occupancy vector.
-        for (std::size_t i = 0; i < config_.ports; ++i) {
-            requests_.row(i) = voqs_[i].occupancy();
-        }
-        if (injector_) mask_down_ports();
+        // requests_ mirrors VOQ occupancy already; only crashed ports
+        // need a masked copy.
+        const sched::RequestMatrix& requests = scheduler_requests();
 
         if (phase == 0 && slot_ >= config_.warmup_slots) {
-            // "Choices" diagnostic: mean non-empty VOQs per input. Read
-            // from the banks' incrementally maintained counts; with a
-            // fault injector engaged the masked request rows differ from
-            // raw occupancy, so fall back to counting the actual rows.
-            std::size_t nonempty = 0;
-            if (injector_) {
-                for (std::size_t i = 0; i < config_.ports; ++i) {
-                    nonempty += requests_.row(i).count();
-                }
-            } else {
-                for (std::size_t i = 0; i < config_.ports; ++i) {
-                    nonempty += voqs_[i].nonempty_count();
-                }
-            }
+            // "Choices" diagnostic: mean non-empty VOQs per input, as
+            // the scheduler sees them (masked rows under faults).
+            const std::size_t nonempty =
+                injector_ ? requests.total() : nonempty_voqs_;
             choices_accum_ += static_cast<double>(nonempty) /
                               static_cast<double>(config_.ports);
             ++choices_slots_;
@@ -204,9 +219,9 @@ void SwitchSim::step_voq_mode() {
             scheduler_->observe_queue_lengths(queue_lengths_, config_.ports);
         }
 
-        scheduler_->schedule(requests_, matching_);
-        assert(matching_.valid_for(requests_));
-        observe_schedule();
+        scheduler_->schedule(requests, matching_);
+        assert(matching_.valid_for(requests));
+        observe_schedule(requests);
         apply_fabric();
 
         // Transfer the head-of-VOQ packet of every matched pair,
@@ -215,12 +230,13 @@ void SwitchSim::step_voq_mode() {
         // the whole port range). At speedup 1 the packet crosses
         // straight onto the output link; with speedup the fabric outruns
         // the link, so packets land in the per-output buffer drained at
-        // line rate below.
+        // line rate below. A VOQ the pop empties drops its request bit.
         for (const std::size_t j : matching_.matched_outputs().set_bits()) {
-            const std::int32_t i = matching_.input_of(j);
-            assert(i != sched::kUnmatched);
-            auto& bank = voqs_[static_cast<std::size_t>(i)];
-            assert(!bank.queue(j).empty());
+            const std::int32_t matched = matching_.input_of(j);
+            assert(matched != sched::kUnmatched);
+            const auto i = static_cast<std::size_t>(matched);
+            auto& bank = voqs_[i];
+            assert(!bank.empty(j));
             if (config_.speedup == 1) {
                 deliver(bank.pop(j));
             } else if (!output_buffers_[j].full()) {
@@ -228,8 +244,12 @@ void SwitchSim::step_voq_mode() {
             } else {
                 continue;  // full output buffer leaves the packet in its VOQ
             }
+            if (bank.empty(j)) {
+                requests_.set(i, j, false);
+                --nonempty_voqs_;
+            }
             if (track_queue_lengths_) {
-                --queue_lengths_[static_cast<std::size_t>(i) * config_.ports + j];
+                --queue_lengths_[i * config_.ports + j];
             }
         }
     }
@@ -243,20 +263,28 @@ void SwitchSim::step_voq_mode() {
     }
 }
 
-void SwitchSim::mask_down_ports() {
+const sched::RequestMatrix& SwitchSim::scheduler_requests() {
+    if (!injector_) return requests_;
     // Degraded-mode scheduling: crashed ports vanish from the request
     // matrix — their rows (as initiators) and their columns (as targets)
     // — so the scheduler matches only the surviving ports and never
-    // wastes a grant on a connection nobody can terminate.
+    // wastes a grant on a connection nobody can terminate. The mask
+    // goes on a copy; requests_ keeps recording the true occupancy.
+    masked_requests_ = requests_;
     for (std::size_t i = 0; i < config_.ports; ++i) {
         if (!port_up_[i]) {
-            requests_.row(i).clear();
+            // set() per bit keeps the copied column view valid.
+            for (const std::size_t j :
+                 std::as_const(masked_requests_).row(i).set_bits()) {
+                masked_requests_.set(i, j, false);
+            }
             continue;
         }
         for (std::size_t j = 0; j < config_.ports; ++j) {
-            if (!port_up_[j]) requests_.set(i, j, false);
+            if (!port_up_[j]) masked_requests_.set(i, j, false);
         }
     }
+    return masked_requests_;
 }
 
 void SwitchSim::step_fifo_mode() {
@@ -274,11 +302,11 @@ void SwitchSim::step_fifo_mode() {
             requests_.set(i, input_queues_[i].front().destination);
         }
     }
-    if (injector_) mask_down_ports();
+    const sched::RequestMatrix& requests = scheduler_requests();
 
-    scheduler_->schedule(requests_, matching_);
-    assert(matching_.valid_for(requests_));
-    observe_schedule();
+    scheduler_->schedule(requests, matching_);
+    assert(matching_.valid_for(requests));
+    observe_schedule(requests);
     apply_fabric();
 
     for (const std::size_t j : matching_.matched_outputs().set_bits()) {

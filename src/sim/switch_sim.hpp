@@ -135,6 +135,14 @@ public:
     [[nodiscard]] const sched::Matching& last_matching() const noexcept {
         return matching_;
     }
+    /// Request matrix: in kVoq mode bit (i, j) is set iff VOQ j of input
+    /// i is non-empty, kept exact at every push and pop; in kFifo mode
+    /// the head-of-line requests of the last scheduled slot. Never
+    /// masked — with a fault injector engaged the scheduler sees a
+    /// masked copy.
+    [[nodiscard]] const sched::RequestMatrix& requests() const noexcept {
+        return requests_;
+    }
     /// Per-cycle trace ring (engaged iff config.trace_capacity > 0).
     [[nodiscard]] const std::optional<obs::SchedTrace>& trace() const noexcept {
         return trace_;
@@ -155,8 +163,10 @@ public:
 
 private:
     void step_arrivals();
-    /// Clear request rows/columns of crashed ports (injector engaged).
-    void mask_down_ports();
+    /// The matrix the scheduler sees: requests_ itself, or with a fault
+    /// injector engaged a copy with crashed ports' rows and columns
+    /// cleared.
+    const sched::RequestMatrix& scheduler_requests();
     void step_voq_mode();
     void step_fifo_mode();
     void step_outbuf_mode();
@@ -165,8 +175,9 @@ private:
     /// unmatching any connection the fabric cannot carry.
     void apply_fabric();
     /// Feed the scheduler's raw matching (before the fabric may drop
-    /// connections) to the counters, trace, and paranoid checker.
-    void observe_schedule();
+    /// connections) and the requests it saw to the counters, trace, and
+    /// paranoid checker.
+    void observe_schedule(const sched::RequestMatrix& requests);
 
     SimConfig config_;
     std::unique_ptr<sched::Scheduler> scheduler_;
@@ -177,7 +188,13 @@ private:
     std::vector<VoqBank> voqs_;               // kVoq only
     std::vector<PacketQueue> output_buffers_; // kOutputBuffered only
 
+    // VOQ occupancy (kVoq) or head-of-line requests (kFifo). In kVoq
+    // mode a bit flips only when its VOQ turns empty <-> non-empty, and
+    // the column view stays valid in place, so no slot re-transposes
+    // the matrix.
     sched::RequestMatrix requests_;
+    sched::RequestMatrix masked_requests_;  // fault injector engaged only
+    std::size_t nonempty_voqs_ = 0;  // == requests_.total() in kVoq mode
     sched::Matching matching_;
     // Per-slot arrival destinations, filled by one batched
     // traffic_->arrivals() call instead of ports virtual calls per slot.

@@ -6,27 +6,6 @@ namespace lcf::util {
 
 BitVec::BitVec(std::size_t size) : size_(size), words_(word_count(), 0) {}
 
-bool BitVec::test(std::size_t i) const noexcept {
-    LCF_BITVEC_ASSERT(i < size_);
-    return (words_[i / kWordBits] >> (i % kWordBits)) & 1U;
-}
-
-void BitVec::set(std::size_t i, bool value) noexcept {
-    LCF_BITVEC_ASSERT(i < size_);
-    const std::uint64_t mask = std::uint64_t{1} << (i % kWordBits);
-    if (value) {
-        words_[i / kWordBits] |= mask;
-    } else {
-        words_[i / kWordBits] &= ~mask;
-    }
-}
-
-void BitVec::reset(std::size_t i) noexcept { set(i, false); }
-
-void BitVec::clear() noexcept {
-    for (auto& w : words_) w = 0;
-}
-
 void BitVec::fill() noexcept {
     for (auto& w : words_) w = ~std::uint64_t{0};
     trim();
@@ -43,19 +22,6 @@ void BitVec::set_word(std::size_t wi, std::uint64_t bits) noexcept {
     LCF_BITVEC_ASSERT(wi < words_.size());
     words_[wi] = bits;
     if (wi + 1 == words_.size()) trim();
-}
-
-std::size_t BitVec::count() const noexcept {
-    std::size_t total = 0;
-    for (const auto w : words_) total += static_cast<std::size_t>(std::popcount(w));
-    return total;
-}
-
-bool BitVec::none() const noexcept {
-    for (const auto w : words_) {
-        if (w != 0) return false;
-    }
-    return true;
 }
 
 std::size_t BitVec::find_first() const noexcept {
@@ -150,13 +116,6 @@ BitVec& BitVec::subtract(const BitVec& other) noexcept {
     LCF_BITVEC_ASSERT(size_ == other.size_);
     for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= ~other.words_[i];
     return *this;
-}
-
-void BitVec::assign_and(const BitVec& src, const BitVec& mask) noexcept {
-    LCF_BITVEC_ASSERT(size_ == src.size_ && size_ == mask.size_);
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-        words_[i] = src.words_[i] & mask.words_[i];
-    }
 }
 
 void BitVec::assign_subtract(const BitVec& src, const BitVec& mask) noexcept {

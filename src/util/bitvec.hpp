@@ -51,21 +51,48 @@ public:
     /// True when size() == 0.
     [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
+    // The hot accessors below are defined inline: the simulator and the
+    // schedulers call them thousands of times per slot.
+
     /// Read bit `i` (precondition: i < size()).
-    [[nodiscard]] bool test(std::size_t i) const noexcept;
+    [[nodiscard]] bool test(std::size_t i) const noexcept {
+        LCF_BITVEC_ASSERT(i < size_);
+        return (words_[i / kWordBits] >> (i % kWordBits)) & 1U;
+    }
     /// Set bit `i` to `value` (precondition: i < size()).
-    void set(std::size_t i, bool value = true) noexcept;
+    void set(std::size_t i, bool value = true) noexcept {
+        LCF_BITVEC_ASSERT(i < size_);
+        const std::uint64_t mask = std::uint64_t{1} << (i % kWordBits);
+        if (value) {
+            words_[i / kWordBits] |= mask;
+        } else {
+            words_[i / kWordBits] &= ~mask;
+        }
+    }
     /// Clear bit `i` (precondition: i < size()).
-    void reset(std::size_t i) noexcept;
+    void reset(std::size_t i) noexcept { set(i, false); }
     /// Clear all bits.
-    void clear() noexcept;
+    void clear() noexcept {
+        for (auto& w : words_) w = 0;
+    }
     /// Set all bits in [0, size()).
     void fill() noexcept;
 
     /// Number of set bits.
-    [[nodiscard]] std::size_t count() const noexcept;
+    [[nodiscard]] std::size_t count() const noexcept {
+        std::size_t total = 0;
+        for (const auto w : words_) {
+            total += static_cast<std::size_t>(std::popcount(w));
+        }
+        return total;
+    }
     /// True when no bit is set.
-    [[nodiscard]] bool none() const noexcept;
+    [[nodiscard]] bool none() const noexcept {
+        for (const auto w : words_) {
+            if (w != 0) return false;
+        }
+        return true;
+    }
     /// True when at least one bit is set.
     [[nodiscard]] bool any() const noexcept { return !none(); }
 
@@ -100,7 +127,12 @@ public:
 
     /// Masked assign without a temporary: *this = src & mask. All three
     /// vectors must have equal size (this may alias src or mask).
-    void assign_and(const BitVec& src, const BitVec& mask) noexcept;
+    void assign_and(const BitVec& src, const BitVec& mask) noexcept {
+        LCF_BITVEC_ASSERT(size_ == src.size_ && size_ == mask.size_);
+        for (std::size_t i = 0; i < words_.size(); ++i) {
+            words_[i] = src.words_[i] & mask.words_[i];
+        }
+    }
     /// Masked assign without a temporary: *this = src & ~mask.
     void assign_subtract(const BitVec& src, const BitVec& mask) noexcept;
 

@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <stdexcept>
 
 namespace lcf::util {
@@ -77,7 +78,18 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
         }));
         lo = hi;
     }
-    for (auto& f : futures) f.get();
+    // Wait for every chunk before rethrowing: a chunk still running
+    // after this call unwinds would use `fn`, and whatever it captures,
+    // after its owner is gone.
+    std::exception_ptr first_error;
+    for (auto& f : futures) {
+        try {
+            f.get();
+        } catch (...) {
+            if (!first_error) first_error = std::current_exception();
+        }
+    }
+    if (first_error) std::rethrow_exception(first_error);
 }
 
 void parallel_for_n(std::size_t threads, std::size_t begin, std::size_t end,

@@ -60,8 +60,9 @@ public:
     /// Run fn(i) for every i in [begin, end) across the pool and wait.
     /// The range is split into at most 4 contiguous chunks per worker
     /// (one task + future per chunk, not per index), so the per-task
-    /// queue/allocation overhead is amortized over the chunk. The first
-    /// exception thrown by any invocation is rethrown here. Throws
+    /// queue/allocation overhead is amortized over the chunk. Every
+    /// chunk finishes before this returns; the first exception (in
+    /// chunk order) thrown by any invocation is then rethrown. Throws
     /// std::logic_error when called from inside one of this pool's own
     /// tasks (see the nesting rule above).
     void parallel_for(std::size_t begin, std::size_t end,

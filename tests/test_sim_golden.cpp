@@ -125,6 +125,96 @@ TEST(SimGolden, Fig12BurstyFifo) {
          0.5086414930555555, 0.0});
 }
 
+// The paths the incremental request matrix and pooled VOQ storage
+// touch, recorded from the per-slot row copy and per-queue PacketQueue
+// VOQs before that rewrite.
+sim::SimResult run_voq_point(const std::string& sched, const std::string& traffic,
+                             double load, const sim::SimConfig& c) {
+    return sim::run_named(sched, c, traffic, load,
+                          sched::SchedulerConfig{.iterations = 4,
+                                                 .seed = c.seed});
+}
+
+sim::SimConfig small_voq_config() {
+    sim::SimConfig c;
+    c.ports = 16;
+    c.slots = 5000;
+    c.warmup_slots = 500;
+    c.seed = 7777;
+    return c;
+}
+
+// The benchmark's regime: 256 ports, Bernoulli-uniform load 0.9.
+TEST(SimGolden, LcfCentralN256Uniform90) {
+    sim::SimConfig c;
+    c.ports = 256;
+    c.slots = 2048;
+    c.warmup_slots = 256;
+    c.seed = 2569;
+    expect_matches_golden(
+        run_voq_point("lcf_central", "uniform", 0.9, c),
+        {471925, 470524, 0, 411562, 470524, 7.0364610921318782, 70.0,
+         0.9001268659319196, 6.0884203229631693});
+}
+
+// Speedup 2 into two-entry output buffers: matched packets whose output
+// buffer is full stay in their VOQ (about 64k times in this run).
+TEST(SimGolden, Speedup2FullOutputBuffers) {
+    sim::SimConfig c = small_voq_config();
+    c.speedup = 2;
+    c.outbuf_capacity = 2;
+    const auto r = run_voq_point("lcf_central_rr", "bursty", 0.9, c);
+    expect_matches_golden(
+        r, {76231, 72885, 0, 65263, 137397, 149.88201584358833, 1049.0,
+            0.92072222222222222, 6.2899583333333338});
+    EXPECT_EQ(r.sched.cycles, 10000u);
+}
+
+// Two host crashes and a scheduler stall: the scheduler, trace and
+// paranoid checker read a masked copy of the request matrix.
+sim::SimConfig faulty_config() {
+    sim::SimConfig c = small_voq_config();
+    c.paranoid = true;
+    c.trace_capacity = 64;
+    c.fault_plan.add_host_crash(3, 1000, 2500)
+        .add_host_crash(9, 1800, 2200)
+        .add_scheduler_stall(3000, 3100);
+    return c;
+}
+
+TEST(SimGolden, FaultPlanCrashAndStallVoq) {
+    const auto r = run_voq_point("lcf_central", "uniform", 0.85, faulty_config());
+    expect_matches_golden(
+        r, {67804, 65258, 1604, 58437, 65258, 67.797354415866593, 1524.0,
+            0.81229166666666663, 4.3520312499999996});
+    EXPECT_EQ(r.sched.stalled_cycles, 100u);
+    EXPECT_EQ(r.sched.cycles, 4900u);
+    EXPECT_EQ(r.sched.paranoid_violations, 0u);
+}
+
+TEST(SimGolden, FaultPlanCrashAndStallFifo) {
+    const auto r = run_voq_point("fifo", "uniform", 0.85, faulty_config());
+    expect_matches_golden(
+        r, {67804, 32837, 19112, 26016, 32837, 1724.01994926199, 2399.0,
+            0.38856944444444447, 0.0});
+    EXPECT_EQ(r.sched.stalled_cycles, 100u);
+    EXPECT_EQ(r.sched.cycles, 4900u);
+    EXPECT_EQ(r.sched.paranoid_violations, 0u);
+}
+
+// A blocking Clos fabric (2 middle switches for groups of 4): rejected
+// connections leave their packets queued.
+TEST(SimGolden, BlockingClosFabric) {
+    sim::SimConfig c = small_voq_config();
+    c.clos_middle = 2;
+    c.clos_group = 4;
+    const auto r = run_voq_point("lcf_central", "uniform", 0.85, c);
+    expect_matches_golden(
+        r, {67804, 37640, 0, 31643, 77437, 468.55288689441875, 3265.0,
+            0.47094444444444444, 12.182166666666667});
+    EXPECT_EQ(r.fabric_blocked, 39797u);
+}
+
 // ---------------------------------------------------------------------
 // sweep(): golden values and thread-count independence.
 

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "core/factory.hpp"
 #include "traffic/bernoulli.hpp"
+#include "traffic/bursty.hpp"
 #include "traffic/hotspot.hpp"
 #include "traffic/trace.hpp"
 
@@ -249,6 +253,88 @@ TEST(SwitchSim, RejectsInvalidConstruction) {
         SwitchSim(c, islip(),
                   std::make_unique<traffic::BernoulliUniform>(0.1)),
         std::invalid_argument);
+}
+
+// Rejected configurations fail in the constructor, before any state is
+// built. (Speedup 0 and a bad Clos geometry are covered by
+// Speedup.RejectsZero and ClosSim.RejectsBadGeometry.)
+SwitchSim make_uniform(const SimConfig& c) {
+    return SwitchSim(c, islip(),
+                     std::make_unique<traffic::BernoulliUniform>(0.5));
+}
+
+TEST(SwitchSim, RejectsZeroVoqCapacity) {
+    auto c = tiny();
+    c.voq_capacity = 0;
+    EXPECT_THROW(make_uniform(c), std::invalid_argument);
+    // Only the VOQ switch has VOQs.
+    c.mode = SwitchMode::kFifo;
+    EXPECT_NO_THROW(SwitchSim(c, core::make_scheduler("fifo"),
+                              std::make_unique<traffic::BernoulliUniform>(0.5)));
+}
+
+TEST(SwitchSim, RejectsVoqPoolBeyond32BitLinks) {
+    // 65536 × 65537 entries cannot be indexed by 32-bit links; the check
+    // must fire before the 65536-port request matrix is allocated.
+    auto c = tiny();
+    c.ports = 65536;
+    c.voq_capacity = 65537;
+    EXPECT_THROW(make_uniform(c), std::invalid_argument);
+}
+
+// The request matrix is the single record of VOQ occupancy: after every
+// slot, bit (i, j) is set exactly when VOQ j of input i is non-empty,
+// and the column view is its exact transpose. Covers speedup (whose
+// full output buffers leave matched packets queued), the masked copy
+// under crashes and stalls, and a blocking Clos fabric.
+TEST(SwitchSim, RequestMatrixTracksVoqOccupancy) {
+    for (const std::size_t speedup : {1u, 2u}) {
+        for (const bool faults : {false, true}) {
+            for (const bool clos : {false, true}) {
+                SCOPED_TRACE("speedup " + std::to_string(speedup) +
+                             (faults ? " faults" : "") + (clos ? " clos" : ""));
+                SimConfig c;
+                c.ports = 16;
+                c.slots = 600;
+                c.warmup_slots = 0;
+                c.voq_capacity = 8;
+                c.speedup = speedup;
+                c.outbuf_capacity = 2;
+                if (faults) {
+                    c.fault_plan.add_host_crash(5, 100, 300)
+                        .add_host_crash(11, 200, 250)
+                        .add_scheduler_stall(400, 420);
+                }
+                if (clos) {
+                    c.clos_middle = 2;
+                    c.clos_group = 4;
+                }
+                SwitchSim sim(c, core::make_scheduler("lcf_central"),
+                              std::make_unique<traffic::BurstyTraffic>(0.95));
+                std::size_t max_requests = 0;
+                while (sim.current_slot() < c.slots) {
+                    sim.step();
+                    const auto& req = sim.requests();
+                    std::size_t nonempty = 0;
+                    for (std::size_t i = 0; i < c.ports; ++i) {
+                        for (std::size_t j = 0; j < c.ports; ++j) {
+                            const bool queued = !sim.voq(i).empty(j);
+                            ASSERT_EQ(req.row(i).test(j), queued)
+                                << "slot " << sim.current_slot() << " (" << i
+                                << ", " << j << ")";
+                            ASSERT_EQ(req.col(j).test(i), queued)
+                                << "slot " << sim.current_slot() << " (" << i
+                                << ", " << j << ")";
+                            nonempty += queued ? 1 : 0;
+                        }
+                    }
+                    ASSERT_EQ(req.total(), nonempty);
+                    max_requests = std::max(max_requests, nonempty);
+                }
+                EXPECT_GT(max_requests, c.ports);  // the VOQs did fill up
+            }
+        }
+    }
 }
 
 }  // namespace

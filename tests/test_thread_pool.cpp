@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace lcf::util {
@@ -55,6 +57,26 @@ TEST(ThreadPool, ExceptionPropagatesThroughParallelFor) {
                                        }
                                    }),
                  std::runtime_error);
+}
+
+TEST(ThreadPool, ParallelForWaitsForEveryChunkBeforeRethrowing) {
+    // Eight indices on two workers: one index per chunk. Index 0 throws
+    // at once; the others are still sleeping when its future resolves.
+    // parallel_for must not unwind (destroying whatever fn captures)
+    // until all of them finished.
+    ThreadPool pool(2);
+    std::atomic<int> finished{0};
+    EXPECT_THROW(pool.parallel_for(0, 8,
+                                   [&](std::size_t i) {
+                                       if (i == 0) {
+                                           throw std::runtime_error("boom");
+                                       }
+                                       std::this_thread::sleep_for(
+                                           std::chrono::milliseconds(20));
+                                       ++finished;
+                                   }),
+                 std::runtime_error);
+    EXPECT_EQ(finished.load(), 7);
 }
 
 TEST(ThreadPool, DrainsQueueOnDestruction) {
