@@ -11,6 +11,11 @@
 //   BM_SimThroughput/<scheduler>/<traffic>/<n>/<load%>
 // and each run reports items/sec == simulated slots/sec.
 //
+// One Clint row, BM_ClintIntegrated/<hosts>/<bulk load%>: both Clint
+// channels in lockstep (clint::run_clint, integrated mode) at the
+// perfbench clint-integrated-ber settings — 16 hosts, bulk load 0.8,
+// quick load 0.1, BER 1e-5.
+//
 // Usage: bench_sim_throughput [--json <path>] [google-benchmark flags...]
 // --json <path> is shorthand for
 // --benchmark_out=<path> --benchmark_out_format=json.
@@ -22,6 +27,7 @@
 #include <string_view>
 #include <vector>
 
+#include "clint/clint_sim.hpp"
 #include "sim/runner.hpp"
 
 namespace {
@@ -45,6 +51,24 @@ void run_sim_point(benchmark::State& state, const std::string& sched,
     for (auto _ : state) {
         const auto result =
             lcf::sim::run_named(sched, config, traffic, load, sched_config);
+        benchmark::DoNotOptimize(result);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kSlots));
+}
+
+void run_clint_point(benchmark::State& state) {
+    lcf::clint::ClintConfig config;
+    config.hosts = 16;
+    config.slots = kSlots;
+    config.warmup_slots = kWarmup;
+    config.seed = 42;
+    config.bulk_load = 0.8;
+    config.quick_load = 0.1;
+    config.bit_error_rate = 1e-5;
+    config.integrated = true;
+    for (auto _ : state) {
+        const auto result = lcf::clint::run_clint(config);
         benchmark::DoNotOptimize(result);
     }
     state.SetItemsProcessed(state.iterations() *
@@ -75,6 +99,8 @@ void register_grid() {
             }
         }
     }
+    benchmark::RegisterBenchmark("BM_ClintIntegrated/16/80", run_clint_point)
+        ->Unit(benchmark::kMillisecond);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 //   ./clint_cluster --hosts 8 --bulk-load 0.8 --ber 1e-6
 
 #include <iostream>
+#include <stdexcept>
 
 #include "clint/clint_sim.hpp"
 #include "util/cli.hpp"
@@ -43,7 +44,13 @@ int main(int argc, char** argv) {
               << " slots, bulk load " << bulk_load << ", quick load "
               << quick_load << ", BER " << ber << "\n\n";
 
-    const auto r = lcf::clint::run_clint(config);
+    lcf::clint::ClintResult r;
+    try {
+        r = lcf::clint::run_clint(config);
+    } catch (const std::invalid_argument& e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 2;
+    }
 
     using lcf::util::AsciiTable;
     AsciiTable t;

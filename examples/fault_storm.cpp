@@ -10,6 +10,8 @@
 //   ./fault_storm --hosts 8 --slots 50000 --ber 1e-5 --crash-every 4000
 
 #include <iostream>
+#include <memory>
+#include <stdexcept>
 
 #include "clint/bulk_channel.hpp"
 #include "traffic/bernoulli.hpp"
@@ -49,7 +51,7 @@ int main(int argc, char** argv) {
     // one downlink out for a burst, and lay loss epochs over the data
     // and ack paths for the middle half of the run.
     auto& plan = config.fault_plan;
-    if (crash_every > 0) {
+    if (crash_every > 0 && hosts > 0) {  // hosts == 0 is rejected below
         std::size_t victim = 0;
         for (std::uint64_t at = crash_every; at + crash_every / 2 < slots;
              at += crash_every) {
@@ -67,14 +69,23 @@ int main(int argc, char** argv) {
                          slots / 4, 3 * slots / 4, loss);
     plan.add_scheduler_stall(slots / 3, slots / 3 + 64);
 
+    // Every setting the channel, its fault plan or the traffic model
+    // rejects throws here, before the run.
+    std::unique_ptr<lcf::clint::BulkChannelSim> sim;
+    try {
+        sim = std::make_unique<lcf::clint::BulkChannelSim>(
+            config, std::make_unique<lcf::traffic::BernoulliUniform>(load));
+    } catch (const std::invalid_argument& e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 2;
+    }
+
     std::cout << "Fault storm: " << hosts << " hosts, " << slots
               << " slots, load " << load << ", baseline BER " << ber
               << ", storm loss " << loss << "\n\n";
 
-    lcf::clint::BulkChannelSim sim(
-        config, std::make_unique<lcf::traffic::BernoulliUniform>(load));
-    const auto r = sim.run();
-    const auto a = sim.accounting();
+    const auto r = sim->run();
+    const auto a = sim->accounting();
 
     using lcf::util::AsciiTable;
     AsciiTable t;

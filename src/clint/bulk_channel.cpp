@@ -1,6 +1,8 @@
 #include "clint/bulk_channel.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -8,6 +10,9 @@
 namespace lcf::clint {
 
 namespace {
+
+/// The packet formats carry one bit per host in 16-bit fields.
+constexpr std::size_t kMaxHosts = 16;
 
 /// Independent-bit corruption probability for `bits` bits at `ber`.
 double corruption_probability(double ber, std::size_t bits) noexcept {
@@ -23,7 +28,7 @@ BulkChannelSim::BulkChannelSim(
       traffic_(std::move(traffic)),
       scheduler_(core::LcfCentralOptions{.variant = core::RrVariant::kInterleaved}),
       data_rng_(util::derive_seed(config.seed, 0xDA7A)) {
-    if (config_.hosts == 0 || config_.hosts > 16) {
+    if (config_.hosts == 0 || config_.hosts > kMaxHosts) {
         throw std::invalid_argument("bulk channel supports 1..16 hosts");
     }
     if (traffic_ == nullptr) {
@@ -344,11 +349,19 @@ void BulkChannelSim::step_scheduling() {
         return;
     }
     const std::size_t n = config_.hosts;
-    sched::RequestMatrix requests(n);
-    core::PrecalcSchedule precalc(n);
-    std::vector<bool> config_ok(n, false);
+    if (requests_.inputs() != n) {
+        requests_ = sched::RequestMatrix(n);
+        requests_.sync_columns();
+        precalc_ = core::PrecalcSchedule(n);
+    } else {
+        requests_.clear();
+        precalc_.clear();
+    }
 
-    std::vector<std::optional<ConfigPacket>> decoded_cfgs(n);
+    // Configuration packets. Per-host scheduling state fits a stack
+    // array and 16-bit masks.
+    std::array<std::optional<ConfigPacket>, kMaxHosts> decoded_cfgs;
+    std::uint16_t up_mask = 0;
     std::uint16_t ben_consensus = 0xFFFF;
     for (std::size_t h = 0; h < n; ++h) {
         if (!host_up_[h]) {
@@ -357,6 +370,7 @@ void BulkChannelSim::step_scheduling() {
             switch_link_flag_[h] = true;
             continue;
         }
+        up_mask = static_cast<std::uint16_t>(up_mask | (1U << h));
         ConfigPacket cfg;
         cfg.req = request_mask(hosts_[h]);
         cfg.pre = hosts_[h].multicast.empty()
@@ -383,33 +397,36 @@ void BulkChannelSim::step_scheduling() {
     // Fault isolation (§4.1): an initiator any host reported disabled
     // is fenced — its requests and precalculated claims are ignored.
     fenced_mask_ = static_cast<std::uint16_t>(~ben_consensus);
+    std::uint16_t config_ok = 0;
     for (std::size_t h = 0; h < n; ++h) {
         if (!decoded_cfgs[h]) continue;
         if (fenced_mask_ & (1U << h)) continue;
-        config_ok[h] = true;
-        for (std::size_t j = 0; j < n; ++j) {
-            // Degraded-mode scheduling: crashed targets are masked out
-            // of the request matrix, so the crossbar never wastes a
-            // slot on a connection nobody can terminate.
-            if (!host_up_[j]) continue;
-            if (decoded_cfgs[h]->req & (1U << j)) requests.set(h, j);
-            if (decoded_cfgs[h]->pre & (1U << j)) precalc.claim(h, j);
+        config_ok = static_cast<std::uint16_t>(config_ok | (1U << h));
+        // Degraded-mode scheduling: crashed targets are masked out of
+        // the request matrix, so the crossbar never wastes a slot on a
+        // connection nobody can terminate.
+        for (unsigned bits = decoded_cfgs[h]->req & up_mask; bits != 0;
+             bits &= bits - 1) {
+            requests_.set(h, static_cast<std::size_t>(std::countr_zero(bits)));
+        }
+        for (unsigned bits = decoded_cfgs[h]->pre & up_mask; bits != 0;
+             bits &= bits - 1) {
+            precalc_.claim(h, static_cast<std::size_t>(std::countr_zero(bits)));
         }
     }
 
-    core::MulticastResult schedule;
-    scheduler_.schedule_with_precalc(requests, precalc, schedule);
+    scheduler_.schedule_with_precalc(requests_, precalc_, schedule_);
     // Observe only the unicast matching: every one of its grants is
     // backed by a request bit, while precalculated fan-out connections
     // are admitted from the `pre` claims outside the request matrix.
-    counters_.observe_cycle(requests.total(), schedule.unicast.size());
-    if (checker_) checker_->check_cycle(requests, schedule.unicast);
+    counters_.observe_cycle(requests_.total(), schedule_.unicast.size());
+    if (checker_) checker_->check_cycle(requests_, schedule_.unicast);
 
     for (std::size_t h = 0; h < n; ++h) {
         if (!host_up_[h]) continue;  // nobody is listening for this grant
         GrantPacket gnt;
         gnt.node_id = static_cast<std::uint8_t>(h);
-        const std::int32_t target = schedule.unicast.output_of(h);
+        const std::int32_t target = schedule_.unicast.output_of(h);
         gnt.gnt_val = target != sched::kUnmatched;
         gnt.gnt = gnt.gnt_val ? static_cast<std::uint8_t>(target) : 0;
         gnt.crc_err = switch_crc_flag_[h];
@@ -428,24 +445,23 @@ void BulkChannelSim::step_scheduling() {
             ++stats_.grant_crc_errors;
             continue;  // host misses its grant; the slot goes unused
         }
+        Host& host = hosts_[h];
         if (decoded->gnt_val) {
-            hosts_[h].pending_grant = decoded->gnt;
-            ++hosts_[h].committed[decoded->gnt];
+            host.pending_grant = decoded->gnt;
+            ++host.committed[decoded->gnt];
         }
         // Precalculated fan-out: targets whose fanout names this host
-        // but that are not part of the unicast matching.
-        if (config_ok[h] && !hosts_[h].multicast.empty()) {
-            std::vector<std::size_t> fan;
+        // but that are not part of the unicast matching. pending_fanout
+        // is empty here: step_transfers() consumed last slot's.
+        if ((config_ok & (1U << h)) != 0 && !host.multicast.empty()) {
+            assert(!host.pending_multicast && host.pending_fanout.empty());
             for (std::size_t j = 0; j < n; ++j) {
-                if (schedule.fanout[j] == static_cast<std::int32_t>(h) &&
-                    schedule.unicast.input_of(j) == sched::kUnmatched) {
-                    fan.push_back(j);
+                if (schedule_.fanout[j] == static_cast<std::int32_t>(h) &&
+                    schedule_.unicast.input_of(j) == sched::kUnmatched) {
+                    host.pending_fanout.push_back(j);
                 }
             }
-            if (!fan.empty()) {
-                hosts_[h].pending_multicast = true;
-                hosts_[h].pending_fanout = std::move(fan);
-            }
+            if (!host.pending_fanout.empty()) host.pending_multicast = true;
         }
     }
 }

@@ -32,8 +32,10 @@
 #include "clint/packets.hpp"
 #include "clint/seq_tracker.hpp"
 #include "core/lcf_central.hpp"
+#include "core/precalc.hpp"
 #include "fault/fault_injector.hpp"
 #include "obs/paranoid_checker.hpp"
+#include "sched/request_matrix.hpp"
 #include "sim/voq.hpp"
 #include "traffic/traffic.hpp"
 #include "util/histogram.hpp"
@@ -277,6 +279,14 @@ private:
 
     std::optional<obs::ParanoidChecker> checker_;
     obs::SchedCounters counters_;
+
+    // Scheduling-stage state reused across slots: sized on the first
+    // step_scheduling() call and cleared, not rebuilt, every slot. The
+    // request matrix's column view is synced once; set() keeps it valid
+    // from then on, so the scheduler never re-transposes it.
+    sched::RequestMatrix requests_;
+    core::PrecalcSchedule precalc_;
+    core::MulticastResult schedule_;
 
     std::uint64_t slot_ = 0;
     std::uint64_t next_packet_id_ = 0;

@@ -22,12 +22,13 @@ ClintResult run_clint(const ClintConfig& config) {
     quick.bit_error_rate = config.bit_error_rate;
     quick.fault_plan = config.quick_faults;
 
-    ClintResult result;
+    // Both channels are built before either runs, so a configuration
+    // either of them rejects throws before any simulation work is done.
+    BulkChannelSim bulk_sim(
+        bulk, traffic::make_traffic(config.traffic, config.bulk_load));
+    QuickChannelSim quick_sim(
+        quick, traffic::make_traffic(config.traffic, config.quick_load));
     if (config.integrated) {
-        BulkChannelSim bulk_sim(
-            bulk, traffic::make_traffic(config.traffic, config.bulk_load));
-        QuickChannelSim quick_sim(
-            quick, traffic::make_traffic(config.traffic, config.quick_load));
         for (std::uint64_t t = 0; t < config.slots; ++t) {
             bulk_sim.step();
             for (const auto& [target, initiator] : bulk_sim.last_acks()) {
@@ -35,24 +36,15 @@ ClintResult run_clint(const ClintConfig& config) {
             }
             quick_sim.step();
         }
-        result.bulk = bulk_sim.result();
-        result.quick = quick_sim.result();
-        result.quick_control_sent = quick_sim.control_sent();
-        result.quick_control_preemptions = quick_sim.control_preemptions();
     } else {
-        {
-            BulkChannelSim sim(bulk,
-                               traffic::make_traffic(config.traffic,
-                                                     config.bulk_load));
-            result.bulk = sim.run();
-        }
-        {
-            QuickChannelSim sim(quick,
-                                traffic::make_traffic(config.traffic,
-                                                      config.quick_load));
-            result.quick = sim.run();
-        }
+        bulk_sim.run();
+        quick_sim.run();
     }
+    ClintResult result;
+    result.bulk = bulk_sim.result();
+    result.quick = quick_sim.result();
+    result.quick_control_sent = quick_sim.control_sent();
+    result.quick_control_preemptions = quick_sim.control_preemptions();
     return result;
 }
 

@@ -4,7 +4,6 @@
 // linkErr/CRCErr grant-packet flags; this model provides the faults.
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -17,10 +16,12 @@ class ErrorLink {
 public:
     ErrorLink(double bit_error_rate, std::uint64_t seed);
 
-    /// Transmit a packet; the returned buffer may differ from the input
-    /// in corrupted bits. Increments error statistics when it does.
+    /// Transmit a packet: bits of `wire` are flipped in place and the
+    /// same buffer is handed back, so a frame moved in (the encoders'
+    /// fresh buffers) crosses the link without a copy. Increments error
+    /// statistics when any bit flips.
     [[nodiscard]] std::vector<std::uint8_t> transmit(
-        std::span<const std::uint8_t> wire);
+        std::vector<std::uint8_t> wire);
 
     /// Packets that suffered at least one bit flip so far.
     [[nodiscard]] std::uint64_t corrupted_packets() const noexcept {

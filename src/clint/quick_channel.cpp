@@ -1,5 +1,6 @@
 #include "clint/quick_channel.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -24,6 +25,8 @@ QuickChannelSim::QuickChannelSim(
         h.queue = sim::PacketQueue(config_.queue_capacity);
     }
     target_priority_.assign(config_.hosts, 0);
+    destination_.assign(config_.hosts, kSilent);
+    sender_of_target_.assign(config_.hosts, kSilent);
     last_delivered_id_.assign(config_.hosts, kNoneDelivered);
     host_up_.assign(config_.hosts, true);
     if (!config_.fault_plan.empty()) {
@@ -87,9 +90,9 @@ void QuickChannelSim::step() {
     // Each host decides what to transmit this slot: a pending control
     // packet (bulk acknowledgment — highest priority, §4.1), a retry of
     // the in-flight data packet (on timeout), or a fresh head-of-queue
-    // data packet.
-    std::vector<std::int32_t> sender_of_target(config_.hosts, -1);
-    std::vector<bool> transmitting(config_.hosts, false);
+    // data packet. destination_[h] records where it heads (kSilent:
+    // nowhere).
+    std::fill(destination_.begin(), destination_.end(), kSilent);
     for (std::size_t h = 0; h < config_.hosts; ++h) {
         Host& host = hosts_[h];
         host.sending_control = false;
@@ -98,6 +101,7 @@ void QuickChannelSim::step() {
             host.sending_control = true;
             host.control_target = host.control.front();
             host.control.pop_front();
+            destination_[h] = static_cast<std::int32_t>(host.control_target);
             ++control_sent_;
             // Did the control packet displace a data opportunity?
             const bool data_ready =
@@ -125,50 +129,44 @@ void QuickChannelSim::step() {
                 ++stats_.retransmissions;
                 o.sent_slot = slot_;
                 o.awaiting_ack = true;
-                transmitting[h] = true;
+                destination_[h] =
+                    static_cast<std::int32_t>(o.packet.destination);
             }
         }
         if (!host.inflight && !host.queue.empty()) {
             host.inflight = Outstanding{host.queue.pop(), slot_, 0, true};
-            transmitting[h] = true;
+            destination_[h] =
+                static_cast<std::int32_t>(host.inflight->packet.destination);
         }
     }
 
     // Switch: one winner per target, rotating priority among everything
-    // heading there (data and control alike); losers dropped.
-    const auto destination_of = [&](std::size_t h) -> std::int32_t {
-        if (hosts_[h].sending_control) {
-            return static_cast<std::int32_t>(hosts_[h].control_target);
+    // heading there (data and control alike); losers dropped. The winner
+    // is the contender with the smallest rank counted from the target's
+    // pointer: with hosts visited in ascending order, a later contender
+    // outranks the current one only when it sits at or after the
+    // pointer and the current one before it. One pass, no modulo.
+    std::fill(sender_of_target_.begin(), sender_of_target_.end(), kSilent);
+    for (std::size_t h = 0; h < config_.hosts; ++h) {
+        if (destination_[h] == kSilent) continue;
+        const auto j = static_cast<std::size_t>(destination_[h]);
+        std::int32_t& winner = sender_of_target_[j];
+        if (winner == kSilent) {
+            winner = static_cast<std::int32_t>(h);
+            continue;
         }
-        if (transmitting[h]) {
-            return static_cast<std::int32_t>(
-                hosts_[h].inflight->packet.destination);
-        }
-        return -1;
-    };
-    for (std::size_t j = 0; j < config_.hosts; ++j) {
-        std::int32_t winner = -1;
-        for (std::size_t k = 0; k < config_.hosts; ++k) {
-            const std::size_t h = (target_priority_[j] + k) % config_.hosts;
-            if (destination_of(h) == static_cast<std::int32_t>(j)) {
-                if (winner == -1) {
-                    winner = static_cast<std::int32_t>(h);
-                } else {
-                    ++stats_.collisions;
-                }
-            }
-        }
-        sender_of_target[j] = winner;
-        if (winner != -1) {
-            target_priority_[j] = (static_cast<std::size_t>(winner) + 1) %
-                                  config_.hosts;
+        ++stats_.collisions;
+        const std::size_t pointer = target_priority_[j];
+        if (static_cast<std::size_t>(winner) < pointer && h >= pointer) {
+            winner = static_cast<std::int32_t>(h);
         }
     }
 
     // Delivery and acknowledgment for the winners.
     for (std::size_t j = 0; j < config_.hosts; ++j) {
-        if (sender_of_target[j] == -1) continue;
-        const std::size_t src = static_cast<std::size_t>(sender_of_target[j]);
+        if (sender_of_target_[j] == kSilent) continue;
+        const auto src = static_cast<std::size_t>(sender_of_target_[j]);
+        target_priority_[j] = src + 1 == config_.hosts ? 0 : src + 1;
         Host& host = hosts_[src];
         if (host.sending_control) {
             // Fire-and-forget ack: delivered unless a fault eats it.
@@ -251,6 +249,9 @@ void QuickChannelSim::step() {
 }
 
 void QuickChannelSim::inject_control(std::size_t host, std::size_t target) {
+    if (host >= config_.hosts || target >= config_.hosts) {
+        throw std::out_of_range("inject_control: host or target out of range");
+    }
     hosts_[host].control.push_back(target);
 }
 

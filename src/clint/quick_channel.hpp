@@ -120,7 +120,8 @@ public:
     /// destined for `target`. Control packets preempt the host's data
     /// transmission for the slot in which they are sent and are
     /// fire-and-forget (losses are the bulk channel's timeout problem,
-    /// not retransmitted here).
+    /// not retransmitted here). Throws std::out_of_range when `host` or
+    /// `target` is not a host of this channel.
     void inject_control(std::size_t host, std::size_t target);
 
     /// Control packets transmitted so far.
@@ -159,6 +160,11 @@ private:
     std::unique_ptr<traffic::TrafficGenerator> traffic_;
     std::vector<Host> hosts_;
     std::vector<std::size_t> target_priority_;  // rotating winner pointer
+    // Per-slot transmit plan, reused across slots: each host's
+    // destination and each target's winning sender (kSilent: none).
+    static constexpr std::int32_t kSilent = -1;
+    std::vector<std::int32_t> destination_;
+    std::vector<std::int32_t> sender_of_target_;
     util::Xoshiro256 rng_;
     double p_data_corrupt_ = 0.0;
     double p_ack_corrupt_ = 0.0;

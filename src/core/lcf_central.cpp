@@ -4,6 +4,20 @@
 
 namespace lcf::core {
 
+namespace {
+
+/// Clear a scratch vector for reuse; reallocate only when the geometry
+/// changed.
+void reset_scratch(util::BitVec& v, std::size_t bits) {
+    if (v.size() == bits) {
+        v.clear();
+    } else {
+        v = util::BitVec(bits);
+    }
+}
+
+}  // namespace
+
 LcfCentralScheduler::LcfCentralScheduler(const LcfCentralOptions& options)
     : options_(options) {}
 
@@ -172,8 +186,8 @@ void LcfCentralScheduler::schedule_with_precalc(
     // dropped"). One transpose of the claim rows replaces the per-target
     // rotated scan over all inputs: each target's claimants are walked in
     // rotated order directly from its column's set bits.
-    util::BitVec busy_inputs(n_in);
-    util::BitVec busy_outputs(n_out);
+    reset_scratch(busy_inputs_, n_in);
+    reset_scratch(busy_outputs_, n_out);
     if (precalc_cols_.size() != n_out ||
         (n_out > 0 && precalc_cols_[0].size() != n_in)) {
         precalc_cols_.assign(n_out, util::BitVec(n_in));
@@ -198,7 +212,7 @@ void LcfCentralScheduler::schedule_with_precalc(
                 if ((i >= rot0) != (pass == 0)) continue;
                 if (out.fanout[j] == sched::kUnmatched) {
                     out.fanout[j] = static_cast<std::int32_t>(i);
-                    busy_outputs.set(j);
+                    busy_outputs_.set(j);
                 } else {
                     out.dropped.emplace_back(i, j);
                 }
@@ -209,12 +223,12 @@ void LcfCentralScheduler::schedule_with_precalc(
     // packet this slot and does not take part in the LCF stage.
     for (std::size_t j = 0; j < n_out; ++j) {
         if (out.fanout[j] != sched::kUnmatched) {
-            busy_inputs.set(static_cast<std::size_t>(out.fanout[j]));
+            busy_inputs_.set(static_cast<std::size_t>(out.fanout[j]));
         }
     }
 
     // Stage 2: regular LCF over the remaining requests and free ports.
-    run_lcf(requests, &busy_inputs, &busy_outputs, out.unicast);
+    run_lcf(requests, &busy_inputs_, &busy_outputs_, out.unicast);
     for (std::size_t j = 0; j < n_out; ++j) {
         if (out.unicast.input_of(j) != sched::kUnmatched) {
             out.fanout[j] = out.unicast.input_of(j);

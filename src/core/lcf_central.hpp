@@ -115,9 +115,11 @@ private:
     util::BitVec cand_;                // current column ∩ free_inputs_
     util::BitVec masked_row_;          // precalc path: row & ~busy_outputs
     std::vector<std::size_t> nrq_;     // remaining choices per free input
-    // schedule_with_precalc() stage-1 scratch.
+    // schedule_with_precalc() stage-1 scratch (sized on first use).
     std::vector<util::BitVec> precalc_cols_;
     std::vector<std::size_t> rot_scratch_;
+    util::BitVec busy_inputs_;   // inputs consumed by stage 1
+    util::BitVec busy_outputs_;  // outputs consumed by stage 1
 };
 
 }  // namespace lcf::core

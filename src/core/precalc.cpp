@@ -12,6 +12,10 @@ bool PrecalcSchedule::empty() const noexcept {
     return true;
 }
 
+void PrecalcSchedule::clear() noexcept {
+    for (auto& r : rows_) r.clear();
+}
+
 std::size_t MulticastResult::connections() const noexcept {
     std::size_t n = 0;
     for (const auto v : fanout) {

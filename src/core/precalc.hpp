@@ -39,6 +39,9 @@ public:
     }
     /// True when no input claims any output.
     [[nodiscard]] bool empty() const noexcept;
+    /// Withdraw every claim, keeping the geometry (lets one schedule be
+    /// refilled every slot without reallocating its rows).
+    void clear() noexcept;
 
 private:
     std::vector<util::BitVec> rows_;

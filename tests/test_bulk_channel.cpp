@@ -265,17 +265,33 @@ TEST(BulkChannel, RetryCapAbandonsAndBackoffStaysBounded) {
 }
 
 TEST(BulkChannel, ParanoidRunIsCleanAndCountersPopulate) {
-    BulkChannelConfig c = small_config();
-    c.paranoid = true;
-    BulkChannelSim sim(c, std::make_unique<traffic::BernoulliUniform>(0.5));
-    // Mix in multicast so the precalculated stage runs alongside the
-    // checked unicast matchings.
-    sim.enqueue_multicast(0, 0b1100);
-    const auto r = sim.run();
-    EXPECT_GT(r.delivered_unique, 0u);
-    EXPECT_EQ(r.sched.cycles, c.slots);
-    EXPECT_GT(r.sched.grants, 0u);
-    EXPECT_EQ(r.sched.paranoid_violations, 0u);
+    // The checker compares the request matrix's column view with its
+    // rows every cycle, so a view left stale by the matrix the channel
+    // reuses across slots throws from step(). The second run adds a
+    // host crash (requests to it masked, then restored) and a scheduler
+    // stall (slots that skip the matrix refill altogether).
+    for (const bool faults : {false, true}) {
+        SCOPED_TRACE(faults ? "crash and stall" : "clean");
+        BulkChannelConfig c = small_config();
+        c.paranoid = true;
+        if (faults) {
+            c.fault_plan.add_host_crash(2, 300, 900)
+                .add_scheduler_stall(1200, 1260);
+        }
+        BulkChannelSim sim(c,
+                           std::make_unique<traffic::BernoulliUniform>(0.5));
+        // Mix in multicast so the precalculated stage runs alongside the
+        // checked unicast matchings.
+        sim.enqueue_multicast(0, 0b1100);
+        const auto r = sim.run();
+        EXPECT_GT(r.delivered_unique, 0u);
+        EXPECT_EQ(r.sched.cycles + r.sched.stalled_cycles, c.slots);
+        EXPECT_EQ(r.sched.stalled_cycles, faults ? 60u : 0u);
+        EXPECT_GT(r.sched.grants, 0u);
+        EXPECT_EQ(r.sched.paranoid_violations, 0u);
+        EXPECT_EQ(r.faults.crashes, faults ? 1u : 0u);
+        EXPECT_TRUE(sim.accounting().balanced());
+    }
 }
 
 TEST(BulkChannel, CountersCollectedWithoutParanoid) {

@@ -309,6 +309,226 @@ TEST(FaultGolden, SwitchSimBitIdenticalWithEmptyPlan) {
 }
 
 // ---------------------------------------------------------------------
+// Golden pins for the Clint slot paths that reuse per-slot state (the
+// bulk channel's scheduling stage, the link, the quick channel's
+// arbitration). Recorded from the build before that state was made
+// persistent; every counter is pinned.
+// ---------------------------------------------------------------------
+
+ClintResult golden_integrated_run() {
+    ClintConfig c;
+    c.hosts = 16;
+    c.slots = 4000;
+    c.warmup_slots = 400;
+    c.seed = 11;
+    c.integrated = true;
+    c.bulk_load = 0.8;
+    c.quick_load = 0.1;
+    c.bit_error_rate = 1e-5;
+    return run_clint(c);
+}
+
+struct BulkStormOutcome {
+    BulkChannelResult result;
+    std::uint16_t fenced_during = 0;
+    std::uint16_t fenced_after = 0;
+    std::size_t buffered = 0;
+    BulkAccounting accounting;
+};
+
+BulkStormOutcome golden_bulk_storm_run() {
+    BulkChannelConfig c;
+    c.hosts = 8;
+    c.slots = 4000;
+    c.warmup_slots = 400;
+    c.seed = 606;
+    c.bit_error_rate = 1e-5;
+    c.paranoid = true;
+    c.fault_plan.add_host_crash(5, 1000, 1800)
+        .add_scheduler_stall(2000, 2060)
+        .add_packet_loss({fault::LinkKind::kUplink, fault::kAllLinks}, 0,
+                         fault::kForever, 0.0, 0.01)
+        .add_packet_loss({fault::LinkKind::kDownlink, 2}, 500, 3000, 0.05);
+    BulkChannelSim sim(c, std::make_unique<traffic::BernoulliUniform>(0.6));
+    BulkStormOutcome out;
+    while (sim.current_slot() < c.slots) {
+        const std::uint64_t t = sim.current_slot();
+        if (t % 400 == 0) {
+            // Hosts 0 and 1 both claim target 3: stage 1 admits one
+            // claim and drops the other every time both are advertised.
+            sim.enqueue_multicast(0, 0b00001100);
+            sim.enqueue_multicast(1, 0b00001010);
+        }
+        if (t == 2500) sim.set_bulk_enable_report(3, 0xFFBF);  // fence 6
+        if (t == 3000) sim.set_bulk_enable_report(3, 0xFFFF);
+        sim.step();
+        if (t == 2800) out.fenced_during = sim.fenced_mask();
+    }
+    out.fenced_after = sim.fenced_mask();
+    out.result = sim.result();
+    out.buffered = sim.buffered_total();
+    out.accounting = sim.accounting();
+    return out;
+}
+
+struct QuickStormOutcome {
+    QuickChannelResult result;
+    std::uint64_t control_sent = 0;
+    std::uint64_t control_preemptions = 0;
+    std::uint64_t control_lost = 0;
+    QuickAccounting accounting;
+};
+
+QuickStormOutcome golden_quick_100_hosts_run() {
+    QuickChannelConfig c;
+    c.hosts = 100;  // two 64-bit words of hosts; the pointer wraps
+    c.slots = 3000;
+    c.warmup_slots = 300;
+    c.seed = 4100;
+    c.bit_error_rate = 1e-5;
+    c.fault_plan.add_host_crash(70, 800, 1500).add_host_crash(3, 1200, 2000);
+    QuickChannelSim sim(c, std::make_unique<traffic::BernoulliUniform>(0.4));
+    while (sim.current_slot() < c.slots) {
+        const std::uint64_t t = sim.current_slot();
+        if (t % 5 == 0) sim.inject_control(t % 100, (t * 37) % 100);
+        sim.step();
+    }
+    QuickStormOutcome out;
+    out.result = sim.result();
+    out.control_sent = sim.control_sent();
+    out.control_preemptions = sim.control_preemptions();
+    out.control_lost = sim.control_lost();
+    out.accounting = sim.accounting();
+    return out;
+}
+
+// The perfbench clint-integrated-ber settings, shortened.
+TEST(FaultGolden, IntegratedClintBenchmarkSettings) {
+    const ClintResult r = golden_integrated_run();
+    EXPECT_DOUBLE_EQ(r.bulk.mean_delay, 18.183608267588085);
+    EXPECT_DOUBLE_EQ(r.bulk.max_delay, 346.0);
+    EXPECT_EQ(r.bulk.p50_delay, 9u);
+    EXPECT_EQ(r.bulk.p99_delay, 122u);
+    EXPECT_EQ(r.bulk.generated, 51322u);
+    EXPECT_EQ(r.bulk.delivered_unique, 51124u);
+    EXPECT_EQ(r.bulk.duplicate_deliveries, 50u);
+    EXPECT_EQ(r.bulk.dropped_voq, 0u);
+    EXPECT_EQ(r.bulk.config_crc_errors, 65u);
+    EXPECT_EQ(r.bulk.grant_crc_errors, 22u);
+    EXPECT_EQ(r.bulk.configs_lost, 0u);
+    EXPECT_EQ(r.bulk.grants_lost, 0u);
+    EXPECT_EQ(r.bulk.data_corruptions, 9054u);
+    EXPECT_EQ(r.bulk.ack_losses, 50u);
+    EXPECT_EQ(r.bulk.retransmissions, 9094u);
+    EXPECT_EQ(r.bulk.abandoned, 0u);
+    EXPECT_EQ(r.bulk.crash_lost, 0u);
+    EXPECT_EQ(r.bulk.recovered, 7607u);
+    EXPECT_DOUBLE_EQ(r.bulk.mean_recovery_delay, 14.373077428684116);
+    EXPECT_EQ(r.bulk.multicast_copies, 0u);
+    EXPECT_EQ(r.bulk.multicast_lost, 0u);
+    EXPECT_DOUBLE_EQ(r.bulk.goodput, 0.80166666666666664);
+    EXPECT_EQ(r.bulk.sched,
+              (obs::SchedCounters{.cycles = 4000, .requests = 404091,
+                  .grants = 60265, .empty_cycles = 0, .max_matching = 16,
+                  .max_starvation_age = 0, .paranoid_violations = 0,
+                  .stalled_cycles = 0}));
+    EXPECT_DOUBLE_EQ(r.quick.mean_delay, 77.881780500990942);
+    EXPECT_DOUBLE_EQ(r.quick.max_delay, 372.0);
+    EXPECT_EQ(r.quick.generated, 6358u);
+    EXPECT_EQ(r.quick.delivered_unique, 6212u);
+    EXPECT_EQ(r.quick.duplicate_deliveries, 4u);
+    EXPECT_EQ(r.quick.dropped_queue, 0u);
+    EXPECT_EQ(r.quick.collisions, 7867u);
+    EXPECT_EQ(r.quick.corruptions, 78u);
+    EXPECT_EQ(r.quick.fault_losses, 0u);
+    EXPECT_EQ(r.quick.retransmissions, 3999u);
+    EXPECT_EQ(r.quick.abandoned, 0u);
+    EXPECT_EQ(r.quick.abandoned_delivered, 0u);
+    EXPECT_EQ(r.quick.crash_lost, 0u);
+    EXPECT_DOUBLE_EQ(r.quick.delivery_ratio, 0.97703680402642346);
+    EXPECT_EQ(r.quick_control_sent, 51174u);
+    EXPECT_EQ(r.quick_control_preemptions, 42556u);
+}
+
+// Crash, stall, uplink truncation and downlink loss, paranoid checking,
+// conflicting multicast claims and a ben fence, all in one run.
+TEST(FaultGolden, BulkChannelStormWithMulticastConflictsAndFence) {
+    const BulkStormOutcome o = golden_bulk_storm_run();
+    const BulkChannelResult& r = o.result;
+    EXPECT_DOUBLE_EQ(r.mean_delay, 57.651256221142681);
+    EXPECT_DOUBLE_EQ(r.max_delay, 1319.0);
+    EXPECT_EQ(r.p50_delay, 4u);
+    EXPECT_EQ(r.p99_delay, 821u);
+    EXPECT_EQ(r.generated, 19203u);
+    EXPECT_EQ(r.delivered_unique, 18634u);
+    EXPECT_EQ(r.duplicate_deliveries, 11u);
+    EXPECT_EQ(r.dropped_voq, 0u);
+    EXPECT_EQ(r.config_crc_errors, 353u);
+    EXPECT_EQ(r.grant_crc_errors, 12u);
+    EXPECT_EQ(r.configs_lost, 0u);
+    EXPECT_EQ(r.grants_lost, 124u);
+    EXPECT_EQ(r.data_corruptions, 3320u);
+    EXPECT_EQ(r.ack_losses, 11u);
+    EXPECT_EQ(r.retransmissions, 3321u);
+    EXPECT_EQ(r.abandoned, 0u);
+    EXPECT_EQ(r.crash_lost, 484u);
+    EXPECT_EQ(r.recovered, 2809u);
+    EXPECT_DOUBLE_EQ(r.mean_recovery_delay, 10.113919544321787);
+    EXPECT_EQ(r.multicast_copies, 25u);
+    EXPECT_EQ(r.multicast_lost, 0u);
+    EXPECT_DOUBLE_EQ(r.goodput, 0.57965277777777779);
+    EXPECT_EQ(r.sched,
+              (obs::SchedCounters{.cycles = 3940, .requests = 66207,
+                  .grants = 22068, .empty_cycles = 0, .max_matching = 8,
+                  .max_starvation_age = 54, .paranoid_violations = 0,
+                  .stalled_cycles = 60}));
+    EXPECT_EQ(r.faults,
+              (fault::FaultCounters{.packets_dropped = 124,
+                  .packets_truncated = 327, .packets_corrupted = 0,
+                  .bits_flipped = 0, .crashes = 1, .restarts = 1,
+                  .stalled_slots = 60}));
+    EXPECT_EQ(o.fenced_during, 64u);
+    EXPECT_EQ(o.fenced_after, 0u);
+    EXPECT_EQ(o.buffered, 85u);
+    EXPECT_EQ(o.accounting.queued, 83u);
+    EXPECT_EQ(o.accounting.in_flight, 2u);
+    EXPECT_EQ(o.accounting.dropped, 484u);
+    EXPECT_TRUE(o.accounting.balanced());
+}
+
+// 100 hosts span two 64-bit words and wrap every rotating pointer.
+TEST(FaultGolden, QuickChannel100HostsWithBitErrorsAndCrashes) {
+    const QuickStormOutcome o = golden_quick_100_hosts_run();
+    const QuickChannelResult& r = o.result;
+    EXPECT_DOUBLE_EQ(r.mean_delay, 11.377156326005458);
+    EXPECT_DOUBLE_EQ(r.max_delay, 186.0);
+    EXPECT_EQ(r.generated, 119748u);
+    EXPECT_EQ(r.delivered_unique, 118423u);
+    EXPECT_EQ(r.duplicate_deliveries, 70u);
+    EXPECT_EQ(r.dropped_queue, 6u);
+    EXPECT_EQ(r.collisions, 47861u);
+    EXPECT_EQ(r.corruptions, 1335u);
+    EXPECT_EQ(r.fault_losses, 1480u);
+    EXPECT_EQ(r.retransmissions, 49933u);
+    EXPECT_EQ(r.abandoned, 557u);
+    EXPECT_EQ(r.abandoned_delivered, 0u);
+    EXPECT_EQ(r.crash_lost, 647u);
+    EXPECT_DOUBLE_EQ(r.delivery_ratio, 0.98893509703711124);
+    EXPECT_EQ(r.faults,
+              (fault::FaultCounters{.packets_dropped = 0,
+                  .packets_truncated = 0, .packets_corrupted = 0,
+                  .bits_flipped = 0, .crashes = 2, .restarts = 2,
+                  .stalled_slots = 0}));
+    EXPECT_EQ(o.control_sent, 600u);
+    EXPECT_EQ(o.control_preemptions, 351u);
+    EXPECT_EQ(o.control_lost, 3u);
+    EXPECT_EQ(o.accounting.queued, 87u);
+    EXPECT_EQ(o.accounting.in_flight, 28u);
+    EXPECT_EQ(o.accounting.dropped, 653u);
+    EXPECT_TRUE(o.accounting.balanced());
+}
+
+// ---------------------------------------------------------------------
 // Channel-level fault behavior.
 // ---------------------------------------------------------------------
 

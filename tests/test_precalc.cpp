@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/rng.hpp"
+
 namespace lcf::core {
 namespace {
 
@@ -23,6 +25,78 @@ TEST(PrecalcSchedule, ClaimAndQuery) {
     EXPECT_TRUE(p.claimed(3, 3));
     EXPECT_FALSE(p.claimed(3, 0));
     EXPECT_EQ(p.row(3).count(), 2u);
+}
+
+TEST(PrecalcSchedule, ClearWithdrawsEveryClaimAndKeepsGeometry) {
+    PrecalcSchedule p(3, 70);  // rows span two 64-bit words
+    p.claim(0, 1);
+    p.claim(2, 69);
+    p.claim(2, 64);
+    p.clear();
+    EXPECT_TRUE(p.empty());
+    EXPECT_EQ(p.inputs(), 3u);
+    EXPECT_EQ(p.outputs(), 70u);
+    for (std::size_t i = 0; i < p.inputs(); ++i) {
+        EXPECT_EQ(p.row(i).size(), 70u);
+        EXPECT_TRUE(p.row(i).none()) << i;
+    }
+    p.claim(1, 69);  // still usable after clearing
+    EXPECT_TRUE(p.claimed(1, 69));
+    EXPECT_FALSE(p.claimed(2, 69));
+}
+
+TEST(Precalc, LongLivedSchedulerMatchesFreshInstancePerCycle) {
+    // The Clint bulk channel keeps one scheduler, one request matrix,
+    // one precalculated schedule and one result for a whole run. Every
+    // cycle must still come out exactly as a fresh scheduler on the same
+    // diagonal computes it: no stage-1 scratch (busy ports, claim
+    // columns) and no result field may leak into the next cycle.
+    // Claim density, conflicts, request density and geometry all vary.
+    util::Xoshiro256 rng(2024);
+    const LcfCentralOptions options{.variant = RrVariant::kInterleaved};
+    LcfCentralScheduler reused(options);
+    MulticastResult out;
+    std::size_t n = 0;
+    RequestMatrix requests;
+    PrecalcSchedule pre;
+    std::size_t dropped_total = 0;
+    for (int cycle = 0; cycle < 500; ++cycle) {
+        if (cycle % 100 == 0) {
+            n = std::size_t{5} + rng.next_below(80);
+            if (cycle == 0) reused.reset(n, n);
+            requests = RequestMatrix(n);
+            requests.sync_columns();
+            pre = PrecalcSchedule(n);
+        } else {
+            requests.clear();
+            pre.clear();
+        }
+        const double density = rng.next_double();
+        // A third of the cycles carry no claims at all, so busy ports
+        // left over from the previous cycle would show.
+        const double claim_density =
+            cycle % 3 == 0 ? 0.0 : 0.2 * rng.next_double();
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+                if (rng.next_bool(density)) requests.set(i, j);
+                if (rng.next_bool(claim_density)) pre.claim(i, j);
+            }
+        }
+
+        LcfCentralScheduler fresh(options);
+        fresh.reset(n, n);
+        const auto [di, dj] = reused.diagonal();
+        fresh.set_diagonal(di, dj);
+        MulticastResult expected;
+        fresh.schedule_with_precalc(requests, pre, expected);
+
+        reused.schedule_with_precalc(requests, pre, out);
+        ASSERT_EQ(out.fanout, expected.fanout) << "cycle " << cycle;
+        ASSERT_EQ(out.unicast, expected.unicast) << "cycle " << cycle;
+        ASSERT_EQ(out.dropped, expected.dropped) << "cycle " << cycle;
+        dropped_total += out.dropped.size();
+    }
+    EXPECT_GT(dropped_total, 0u);  // conflicting claims were exercised
 }
 
 TEST(Precalc, Figure7MulticastConnection) {

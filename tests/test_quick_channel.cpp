@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "clint/clint_sim.hpp"
 
@@ -172,6 +173,16 @@ TEST(QuickChannel, RejectsBadConfiguration) {
         std::invalid_argument);
     c.hosts = 4;
     EXPECT_THROW(QuickChannelSim(c, nullptr), std::invalid_argument);
+}
+
+TEST(QuickChannel, InjectControlRejectsUnknownHosts) {
+    QuickChannelSim sim(small_config(),
+                        std::make_unique<traffic::BernoulliUniform>(0.1));
+    EXPECT_THROW(sim.inject_control(4, 0), std::out_of_range);
+    EXPECT_THROW(sim.inject_control(0, 4), std::out_of_range);
+    sim.inject_control(3, 0);
+    sim.step();
+    EXPECT_EQ(sim.control_sent(), 1u);
 }
 
 TEST(ClintSim, CombinedRunProducesBothChannelResults) {
