@@ -30,8 +30,7 @@ void show_service(lcf::sched::Scheduler& s, const RequestMatrix& r,
     // to the round-robin variants alone (options_for knows which).
     std::optional<lcf::obs::ParanoidChecker> checker;
     if (paranoid) {
-        checker.emplace(lcf::obs::ParanoidChecker::options_for(
-            s.name(), s.iteration_limit()));
+        checker.emplace(lcf::obs::ParanoidChecker::options_for(s));
         checker->reset(n, n);
     }
     Matching m;

@@ -7,6 +7,7 @@
 //                   --loads 0.5,0.8,0.95 --traffic bursty --csv out.csv
 // (one command line; wrapped here for width)
 
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -14,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "core/factory.hpp"
 #include "sim/runner.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -32,6 +32,16 @@ std::vector<std::string> split(const std::string& s) {
     return out;
 }
 
+// All of `text` as a number; "abc" and "0.5x" are rejected.
+double parse_load(const std::string& text) {
+    char* end = nullptr;
+    const double load = std::strtod(text.c_str(), &end);
+    if (end != text.c_str() + text.size()) {
+        throw std::invalid_argument("load is not a number: " + text);
+    }
+    return load;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -42,24 +52,13 @@ int main(int argc, char** argv) {
     // Flagship CLI contract (tools/lint_contracts.py, rule
     // config-surface): every scalar SimConfig knob is exposed as a flag
     // here, so any simulation the library can run is reachable from the
-    // command line. Defaults mirror SimConfig's (paper values).
-    lcf::sim::SimConfig defaults;
-    std::uint64_t ports = defaults.ports;
-    std::uint64_t slots = 50000;
-    std::uint64_t warmup_slots = 0;  // 0 = slots / 10
-    std::uint64_t seed = defaults.seed;
-    std::uint64_t voq_capacity = defaults.voq_capacity;
-    std::uint64_t pq_capacity = defaults.pq_capacity;
-    std::uint64_t fifo_capacity = defaults.fifo_capacity;
-    std::uint64_t outbuf_capacity = defaults.outbuf_capacity;
-    std::uint64_t speedup = defaults.speedup;
-    std::uint64_t clos_middle = defaults.clos_middle;
-    std::uint64_t clos_group = defaults.clos_group;
-    std::uint64_t trace_capacity = defaults.trace_capacity;
+    // command line. Defaults are SimConfig's (paper values) except for
+    // the run length.
+    lcf::sim::SimConfig config;
+    config.slots = 50000;
+    config.warmup_slots = 0;  // 0 = slots / 10
     std::uint64_t iterations = 4;
     std::uint64_t threads = 0;
-    bool record_service_matrix = defaults.record_service_matrix;
-    bool paranoid = false;
 
     lcf::util::CliParser cli("Custom latency-vs-load sweep");
     cli.flag("schedulers", "comma-separated Figure 12 names", &schedulers)
@@ -67,66 +66,46 @@ int main(int argc, char** argv) {
         .flag("traffic", "uniform|bursty|hotspot|diagonal|permutation",
               &traffic)
         .flag("csv", "write results to this CSV file", &csv_path)
-        .flag("ports", "switch radix", &ports)
-        .flag("slots", "slots per grid point", &slots)
+        .flag("ports", "switch radix", &config.ports)
+        .flag("slots", "slots per grid point", &config.slots)
         .flag("warmup-slots", "slots excluded from statistics (0 = slots/10)",
-              &warmup_slots)
-        .flag("seed", "simulation RNG seed", &seed)
+              &config.warmup_slots)
+        .flag("seed", "simulation RNG seed", &config.seed)
         .flag("voq-capacity", "entries per virtual output queue",
-              &voq_capacity)
-        .flag("pq-capacity", "entries per input packet queue", &pq_capacity)
+              &config.voq_capacity)
+        .flag("pq-capacity", "entries per input packet queue",
+              &config.pq_capacity)
         .flag("fifo-capacity", "per-input FIFO depth (fifo mode)",
-              &fifo_capacity)
-        .flag("outbuf-capacity", "per-output buffer depth", &outbuf_capacity)
+              &config.fifo_capacity)
+        .flag("outbuf-capacity", "per-output buffer depth",
+              &config.outbuf_capacity)
         .flag("speedup", "crossbar speedup s (scheduler runs s times/slot)",
-              &speedup)
+              &config.speedup)
         .flag("clos-middle", "Clos middle switches (0 = ideal crossbar)",
-              &clos_middle)
+              &config.clos_middle)
         .flag("clos-group", "Clos ports per ingress/egress switch",
-              &clos_group)
+              &config.clos_group)
         .flag("trace-capacity", "per-cycle trace ring size (0 = off)",
-              &trace_capacity)
+              &config.trace_capacity)
         .flag("record-service-matrix", "record per-flow delivery counts",
-              &record_service_matrix)
+              &config.record_service_matrix)
         .flag("iterations", "iterative-scheduler iterations", &iterations)
         .flag("threads", "worker threads (0 = all cores)", &threads)
         .flag("paranoid", "validate scheduler invariants every cycle",
-              &paranoid);
+              &config.paranoid);
     if (!cli.parse(argc, argv)) return cli.exit_code();
+    if (config.warmup_slots == 0) config.warmup_slots = config.slots / 10;
 
-    const auto names = split(schedulers);
-    std::vector<double> loads;
-    for (const auto& l : split(loads_arg)) loads.push_back(std::stod(l));
-    for (const auto& name : names) {
-        if (name != "outbuf" && !lcf::core::is_scheduler_name(name)) {
-            std::cerr << "unknown scheduler: " << name << "\n";
-            return 2;
-        }
-    }
-
-    lcf::sim::SimConfig config;
-    config.ports = ports;
-    config.slots = slots;
-    config.warmup_slots = warmup_slots != 0 ? warmup_slots : slots / 10;
-    config.seed = seed;
-    config.voq_capacity = voq_capacity;
-    config.pq_capacity = pq_capacity;
-    config.fifo_capacity = fifo_capacity;
-    config.outbuf_capacity = outbuf_capacity;
-    config.speedup = speedup;
-    config.clos_middle = clos_middle;
-    config.clos_group = clos_group;
-    config.trace_capacity = trace_capacity;
-    config.record_service_matrix = record_service_matrix;
-    config.paranoid = paranoid;
-
-    // A configuration the simulator rejects (speedup 0, a Clos group
-    // that does not divide the ports, zero-capacity VOQs, a load above
-    // 1, ...) is a usage error, reported like an unknown flag.
+    // A load that is not a number, or a configuration the simulator
+    // rejects (speedup 0, a Clos group that does not divide the ports,
+    // zero-capacity VOQs, a load above 1, an unknown scheduler, ...), is
+    // a usage error, reported like an unknown flag.
     std::vector<lcf::sim::SweepPoint> points;
     try {
+        std::vector<double> loads;
+        for (const auto& l : split(loads_arg)) loads.push_back(parse_load(l));
         points = lcf::sim::sweep(
-            names, loads, config, traffic,
+            split(schedulers), loads, config, traffic,
             lcf::sched::SchedulerConfig{.iterations = iterations}, threads);
     } catch (const std::invalid_argument& e) {
         std::cerr << "error: " << e.what() << "\n";
@@ -146,7 +125,7 @@ int main(int argc, char** argv) {
     }
     t.print(std::cout);
 
-    if (paranoid) {
+    if (config.paranoid) {
         const auto totals = lcf::sim::aggregate_counters(points);
         std::cout << "paranoid: " << totals.cycles
                   << " scheduling cycles validated across all points, "

@@ -57,26 +57,27 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     namespace sched = lcf::sched;
     lcf::fuzz::ByteReader in(data, size);
 
-    const auto& names = core::scheduler_names();
-    const std::string name = names[in.index(names.size())];
+    // Rows are picked in registry order, which the corpus depends on.
+    const auto registry = core::scheduler_registry();
+    const auto& entry = registry[in.index(registry.size())];
+    const std::string name(entry.name);
     const std::size_t ports = 1 + in.index(kMaxPorts);
     const std::size_t cycles = 1 + in.index(kMaxCycles);
     const sched::SchedulerConfig config{.iterations = 1 + in.index(4),
                                         .seed = in.u8()};
 
-    const auto scheduler = core::make_scheduler(name, config);
+    const auto scheduler = entry.make(config);
     scheduler->reset(ports, ports);
 
     // Differential twin, when one is registered (the lcf_* families).
     std::unique_ptr<sched::Scheduler> reference;
-    if (core::is_scheduler_name(name + "_reference")) {
-        reference = core::make_scheduler(name + "_reference", config);
+    if (entry.make_reference != nullptr) {
+        reference = entry.make_reference(config);
         reference->reset(ports, ports);
     }
 
     lcf::obs::ParanoidChecker checker(
-        lcf::obs::ParanoidChecker::options_for(name,
-                                              scheduler->iteration_limit()));
+        lcf::obs::ParanoidChecker::options_for(*scheduler));
     checker.reset(ports, ports);
 
     sched::RequestMatrix requests(ports);

@@ -15,67 +15,78 @@
 
 namespace lcf::core {
 
+namespace {
+
+template <typename S>
+std::unique_ptr<sched::Scheduler> plain(const sched::SchedulerConfig&) {
+    return std::make_unique<S>();
+}
+
+template <typename S>
+std::unique_ptr<sched::Scheduler> configured(
+    const sched::SchedulerConfig& config) {
+    return std::make_unique<S>(config);
+}
+
+template <typename S, RrVariant kVariant>
+std::unique_ptr<sched::Scheduler> central(const sched::SchedulerConfig&) {
+    return std::make_unique<S>(LcfCentralOptions{.variant = kVariant});
+}
+
+template <typename S, bool kRoundRobin>
+std::unique_ptr<sched::Scheduler> dist(const sched::SchedulerConfig& config) {
+    return std::make_unique<S>(LcfDistOptions{
+        .iterations = config.iterations, .round_robin = kRoundRobin});
+}
+
+using Central = LcfCentralScheduler;
+using CentralRef = LcfCentralReferenceScheduler;
+
+// The single list of schedulers. Row order is scheduler_names() order,
+// which fuzz_scheduler indexes into: reordering rows re-targets every
+// committed corpus input. The third column builds the per-bit
+// `<name>_reference` twin kept as a differential oracle and perf
+// "before" line; twins are not rows, so sweeps never enumerate them.
+constexpr SchedulerEntry kRegistry[] = {
+    {"lcf_central", central<Central, RrVariant::kNone>,
+     central<CentralRef, RrVariant::kNone>},
+    {"lcf_central_rr", central<Central, RrVariant::kInterleaved>,
+     central<CentralRef, RrVariant::kInterleaved>},
+    {"lcf_dist_rr", dist<LcfDistScheduler, true>,
+     dist<LcfDistReferenceScheduler, true>},
+    {"lcf_dist", dist<LcfDistScheduler, false>,
+     dist<LcfDistReferenceScheduler, false>},
+    {"pim", configured<sched::PimScheduler>, nullptr},
+    {"islip", configured<sched::IslipScheduler>, nullptr},
+    {"wfront", plain<sched::WavefrontScheduler>, nullptr},
+    {"fifo", plain<sched::FifoRrScheduler>, nullptr},
+    {"maxsize", plain<sched::MaxSizeScheduler>, nullptr},
+    {"lcf_central_rr_single", central<Central, RrVariant::kSingle>,
+     central<CentralRef, RrVariant::kSingle>},
+    {"lcf_central_rr_first", central<Central, RrVariant::kDiagonalFirst>,
+     central<CentralRef, RrVariant::kDiagonalFirst>},
+    {"ilqf", configured<sched::IlqfScheduler>, nullptr},
+    {"rrm", configured<sched::RrmScheduler>, nullptr},
+};
+
+/// The constructor registered for `name` (a row name, or a row name plus
+/// kReferenceSuffix for its twin), or null.
+SchedulerEntry::Make find_maker(std::string_view name) {
+    const bool twin = name.ends_with(kReferenceSuffix);
+    if (twin) name.remove_suffix(kReferenceSuffix.size());
+    for (const auto& entry : kRegistry) {
+        if (entry.name == name) return twin ? entry.make_reference : entry.make;
+    }
+    return nullptr;
+}
+
+}  // namespace
+
+std::span<const SchedulerEntry> scheduler_registry() { return kRegistry; }
+
 std::unique_ptr<sched::Scheduler> make_scheduler(
     std::string_view name, const sched::SchedulerConfig& config) {
-    if (name == "fifo") return std::make_unique<sched::FifoRrScheduler>();
-    if (name == "pim") return std::make_unique<sched::PimScheduler>(config);
-    if (name == "islip") return std::make_unique<sched::IslipScheduler>(config);
-    if (name == "wfront") return std::make_unique<sched::WavefrontScheduler>();
-    if (name == "ilqf") return std::make_unique<sched::IlqfScheduler>(config);
-    if (name == "rrm") return std::make_unique<sched::RrmScheduler>(config);
-    if (name == "maxsize") return std::make_unique<sched::MaxSizeScheduler>();
-    if (name == "lcf_central") {
-        return std::make_unique<LcfCentralScheduler>(
-            LcfCentralOptions{.variant = RrVariant::kNone});
-    }
-    if (name == "lcf_central_rr") {
-        return std::make_unique<LcfCentralScheduler>(
-            LcfCentralOptions{.variant = RrVariant::kInterleaved});
-    }
-    if (name == "lcf_central_rr_single") {
-        return std::make_unique<LcfCentralScheduler>(
-            LcfCentralOptions{.variant = RrVariant::kSingle});
-    }
-    if (name == "lcf_central_rr_first") {
-        return std::make_unique<LcfCentralScheduler>(
-            LcfCentralOptions{.variant = RrVariant::kDiagonalFirst});
-    }
-    if (name == "lcf_dist") {
-        return std::make_unique<LcfDistScheduler>(LcfDistOptions{
-            .iterations = config.iterations, .round_robin = false});
-    }
-    if (name == "lcf_dist_rr") {
-        return std::make_unique<LcfDistScheduler>(LcfDistOptions{
-            .iterations = config.iterations, .round_robin = true});
-    }
-    // Pre-optimization twins: per-bit transcriptions kept as differential
-    // oracles for the equivalence suite and as perf-baseline "before"
-    // lines. Deliberately absent from scheduler_names() so sweeps and
-    // figure harnesses do not enumerate them.
-    if (name == "lcf_central_reference") {
-        return std::make_unique<LcfCentralReferenceScheduler>(
-            LcfCentralOptions{.variant = RrVariant::kNone});
-    }
-    if (name == "lcf_central_rr_reference") {
-        return std::make_unique<LcfCentralReferenceScheduler>(
-            LcfCentralOptions{.variant = RrVariant::kInterleaved});
-    }
-    if (name == "lcf_central_rr_single_reference") {
-        return std::make_unique<LcfCentralReferenceScheduler>(
-            LcfCentralOptions{.variant = RrVariant::kSingle});
-    }
-    if (name == "lcf_central_rr_first_reference") {
-        return std::make_unique<LcfCentralReferenceScheduler>(
-            LcfCentralOptions{.variant = RrVariant::kDiagonalFirst});
-    }
-    if (name == "lcf_dist_reference") {
-        return std::make_unique<LcfDistReferenceScheduler>(LcfDistOptions{
-            .iterations = config.iterations, .round_robin = false});
-    }
-    if (name == "lcf_dist_rr_reference") {
-        return std::make_unique<LcfDistReferenceScheduler>(LcfDistOptions{
-            .iterations = config.iterations, .round_robin = true});
-    }
+    if (const auto make = find_maker(name)) return make(config);
     std::string message = "unknown scheduler name: " + std::string(name) +
                           " (valid names:";
     for (const auto& valid : scheduler_names()) message += " " + valid;
@@ -83,30 +94,15 @@ std::unique_ptr<sched::Scheduler> make_scheduler(
 }
 
 bool is_scheduler_name(std::string_view name) {
-    for (const auto& s : scheduler_names()) {
-        if (s == name) return true;
-    }
-    for (const auto& s : reference_scheduler_names()) {
-        if (s == name) return true;
-    }
-    return false;
-}
-
-const std::vector<std::string>& reference_scheduler_names() {
-    static const std::vector<std::string> names = {
-        "lcf_central_reference",           "lcf_central_rr_reference",
-        "lcf_central_rr_single_reference", "lcf_central_rr_first_reference",
-        "lcf_dist_reference",              "lcf_dist_rr_reference"};
-    return names;
+    return find_maker(name) != nullptr;
 }
 
 const std::vector<std::string>& scheduler_names() {
-    static const std::vector<std::string> names = {
-        "lcf_central",           "lcf_central_rr", "lcf_dist_rr",
-        "lcf_dist",              "pim",            "islip",
-        "wfront",                "fifo",           "maxsize",
-        "lcf_central_rr_single", "lcf_central_rr_first",
-        "ilqf",                  "rrm"};
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (const auto& entry : kRegistry) out.emplace_back(entry.name);
+        return out;
+    }();
     return names;
 }
 

@@ -5,6 +5,7 @@
 // architecture) and is selected through sim::SwitchMode instead.
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,27 +14,38 @@
 
 namespace lcf::core {
 
-/// Construct a scheduler by its Figure 12 name: "fifo", "pim", "islip",
-/// "wfront", "maxsize", "lcf_central", "lcf_central_rr", "lcf_dist",
-/// "lcf_dist_rr". Throws std::invalid_argument for unknown names.
+/// Suffix naming a scheduler's per-bit twin: "lcf_dist" has the twin
+/// "lcf_dist_reference".
+inline constexpr std::string_view kReferenceSuffix = "_reference";
+
+/// One registered scheduler. `make_reference` builds its
+/// `<name>_reference` twin — the per-bit transcription of the paper's
+/// pseudocode, bit-identical in output to the word-parallel scheduler
+/// (the equivalence property suite enforces this) — and is null when
+/// the scheduler has none.
+struct SchedulerEntry {
+    using Make =
+        std::unique_ptr<sched::Scheduler> (*)(const sched::SchedulerConfig&);
+    std::string_view name;
+    Make make;
+    Make make_reference;
+};
+
+/// Every registered scheduler, in scheduler_names() order. Twins are
+/// reached through their base row, never listed as rows of their own.
+std::span<const SchedulerEntry> scheduler_registry();
+
+/// Construct a registered scheduler by name, or its twin by
+/// "<name>_reference". Throws std::invalid_argument for unknown names.
 std::unique_ptr<sched::Scheduler> make_scheduler(
     std::string_view name, const sched::SchedulerConfig& config = {});
 
 /// True when `name` is accepted by make_scheduler().
 bool is_scheduler_name(std::string_view name);
 
-/// All constructible scheduler names, in the paper's Figure 12 legend
-/// order (excluding "outbuf", which is a switch mode, and including the
-/// "maxsize" reference at the end).
+/// The registry's names, twins excluded: the Figure 12 legend order
+/// (without "outbuf", which is a switch mode), then the extensions.
 const std::vector<std::string>& scheduler_names();
-
-/// The pre-optimization `*_reference` twins of the LCF schedulers:
-/// per-bit transcriptions of the paper's pseudocode, bit-identical in
-/// output to their word-parallel counterparts (the equivalence property
-/// suite enforces this). Constructible through make_scheduler() and
-/// accepted by is_scheduler_name(), but not part of scheduler_names()
-/// so sweeps and figure harnesses do not enumerate them.
-const std::vector<std::string>& reference_scheduler_names();
 
 /// The nine Figure 12 configurations in legend order, "outbuf" included.
 const std::vector<std::string>& figure12_names();

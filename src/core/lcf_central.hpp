@@ -61,6 +61,12 @@ public:
     void schedule(const sched::RequestMatrix& requests,
                   sched::Matching& out) override;
     [[nodiscard]] std::string_view name() const noexcept override;
+    /// Every rotating-diagonal variant's anchor covers each [i, j] once
+    /// per n² cycles, so a continuously asserted request is granted
+    /// within n² cycles.
+    [[nodiscard]] bool diagonal_fairness() const noexcept override {
+        return options_.variant != RrVariant::kNone;
+    }
 
     /// Two-stage scheduling with a precalculated (possibly multicast)
     /// schedule, as used by Clint for real-time and multicast traffic

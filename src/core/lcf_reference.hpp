@@ -36,6 +36,9 @@ public:
     void schedule(const sched::RequestMatrix& requests,
                   sched::Matching& out) override;
     [[nodiscard]] std::string_view name() const noexcept override;
+    [[nodiscard]] bool diagonal_fairness() const noexcept override {
+        return options_.variant != RrVariant::kNone;
+    }
 
     /// Two-stage precalculated scheduling, mirroring
     /// LcfCentralScheduler::schedule_with_precalc().

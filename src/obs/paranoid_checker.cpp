@@ -7,16 +7,11 @@ namespace lcf::obs {
 ParanoidChecker::ParanoidChecker(const ParanoidOptions& options)
     : options_(options) {}
 
-ParanoidOptions ParanoidChecker::options_for(std::string_view scheduler_name,
-                                             std::size_t iterations) {
+ParanoidOptions ParanoidChecker::options_for(
+    const sched::Scheduler& scheduler) {
     ParanoidOptions opts;
-    // All rotating-diagonal variants promise at least the b/n² floor:
-    // the anchor position covers every [i, j] once per n² cycles, so a
-    // continuously asserted request is granted within n² cycles.
-    opts.check_diagonal_fairness = scheduler_name == "lcf_central_rr" ||
-                                   scheduler_name == "lcf_central_rr_single" ||
-                                   scheduler_name == "lcf_central_rr_first";
-    opts.iteration_budget = iterations;
+    opts.check_diagonal_fairness = scheduler.diagonal_fairness();
+    opts.iteration_budget = scheduler.iteration_limit();
     return opts;
 }
 

@@ -19,17 +19,17 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "obs/sched_trace.hpp"
 #include "sched/matching.hpp"
 #include "sched/request_matrix.hpp"
+#include "sched/scheduler.hpp"
 
 namespace lcf::obs {
 
 /// Checker configuration. options_for() derives the right settings from
-/// a scheduler's registry name.
+/// the scheduler itself.
 struct ParanoidOptions {
     /// Throw std::logic_error on the first violation (the default: fail
     /// fast and loud). When false, violations are recorded and counted
@@ -49,14 +49,11 @@ class ParanoidChecker {
 public:
     explicit ParanoidChecker(const ParanoidOptions& options = {});
 
-    /// Options appropriate for the named scheduler: diagonal fairness on
-    /// for the rotating-diagonal central variants ("lcf_central_rr",
-    /// "lcf_central_rr_single", "lcf_central_rr_first"), iteration
-    /// budget `iterations` — pass the scheduler's iteration_limit(), whose
-    /// 0 for algorithms that are not iteration-limited leaves the check
-    /// off.
-    static ParanoidOptions options_for(std::string_view scheduler_name,
-                                       std::size_t iterations);
+    /// Options appropriate for `scheduler`: diagonal fairness on when it
+    /// promises the guarantee (Scheduler::diagonal_fairness()), iteration
+    /// budget its iteration_limit() — 0 for algorithms that are not
+    /// iteration-limited, which leaves the check off.
+    static ParanoidOptions options_for(const sched::Scheduler& scheduler);
 
     /// Prepare for a run over an inputs × outputs switch.
     void reset(std::size_t inputs, std::size_t outputs);

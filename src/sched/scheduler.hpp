@@ -56,6 +56,12 @@ public:
     [[nodiscard]] virtual std::size_t iteration_limit() const noexcept {
         return 0;
     }
+    /// True for the rotating-diagonal LCF variants, which promise §3's
+    /// guarantee: a continuously asserted request is granted within n²
+    /// cycles. The ParanoidChecker enforces it for these.
+    [[nodiscard]] virtual bool diagonal_fairness() const noexcept {
+        return false;
+    }
 
     /// Weight-aware schedulers (e.g. iLQF) return true; the simulator
     /// then calls observe_queue_lengths() before every schedule().

@@ -30,11 +30,9 @@ SimResult run_named(std::string_view config_name, const SimConfig& base,
     std::unique_ptr<sched::Scheduler> scheduler;
     if (config_name == "outbuf") {
         config.mode = SwitchMode::kOutputBuffered;
-    } else if (config_name == "fifo") {
-        config.mode = SwitchMode::kFifo;
-        scheduler = core::make_scheduler("fifo", sched_config);
     } else {
-        config.mode = SwitchMode::kVoq;
+        config.mode =
+            config_name == "fifo" ? SwitchMode::kFifo : SwitchMode::kVoq;
         scheduler = core::make_scheduler(config_name, sched_config);
     }
     auto traffic = traffic::make_traffic(traffic_name, load);

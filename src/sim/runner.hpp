@@ -2,7 +2,7 @@
 // Convenience layer tying scheduler names, traffic patterns, and the
 // simulator together — this is what the examples and benchmark harnesses
 // call. A "configuration name" is one of the paper's nine Figure 12
-// labels: the eight scheduler names plus "outbuf".
+// labels (core::figure12_names()), or any other registered scheduler.
 
 #include <string>
 #include <string_view>

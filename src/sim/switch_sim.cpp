@@ -27,6 +27,9 @@ const SimConfig& checked(const SimConfig& config,
     if (config.speedup == 0) {
         throw std::invalid_argument("speedup must be at least 1");
     }
+    if (config.warmup_slots >= config.slots) {
+        throw std::invalid_argument("warmup_slots must be below slots");
+    }
     if (config.clos_middle > 0 &&
         (config.clos_group == 0 || config.ports % config.clos_group != 0)) {
         throw std::invalid_argument("ports must be a multiple of clos_group");
@@ -91,8 +94,7 @@ SwitchSim::SwitchSim(const SimConfig& config,
                            config_.trace_capacity);
         }
         if (config_.paranoid) {
-            checker_.emplace(obs::ParanoidChecker::options_for(
-                scheduler_->name(), scheduler_->iteration_limit()));
+            checker_.emplace(obs::ParanoidChecker::options_for(*scheduler_));
             checker_->reset(config_.ports, config_.ports);
         }
     }

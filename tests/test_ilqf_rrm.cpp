@@ -143,8 +143,7 @@ TEST(IlqfRrm, ParanoidRunChecksIterationBudget) {
         SCOPED_TRACE(name);
         auto s = core::make_scheduler(name, SchedulerConfig{.iterations = 3});
         EXPECT_EQ(s->iteration_limit(), 3u);
-        obs::ParanoidChecker checker(obs::ParanoidChecker::options_for(
-            s->name(), s->iteration_limit()));
+        obs::ParanoidChecker checker(obs::ParanoidChecker::options_for(*s));
         EXPECT_EQ(checker.options().iteration_budget, 3u);
         checker.reset(8, 8);
         s->reset(8, 8);

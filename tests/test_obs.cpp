@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/factory.hpp"
 #include "obs/counters.hpp"
 #include "obs/paranoid_checker.hpp"
 #include "obs/sched_trace.hpp"
@@ -284,18 +285,33 @@ TEST(ParanoidChecker, IterationCheckDisabledWithZeroBudget) {
 }
 
 TEST(ParanoidChecker, OptionsForKnowsSchedulerFamilies) {
-    const auto rr = ParanoidChecker::options_for("lcf_central_rr", 0);
-    EXPECT_TRUE(rr.check_diagonal_fairness);
-    EXPECT_EQ(rr.iteration_budget, 0u);
+    // Only the rotating-diagonal central variants and their twins promise
+    // §3's n²-cycle guarantee; pure LCF, distributed LCF and the
+    // baselines do not.
+    std::size_t fair = 0;
+    for (const auto& entry : core::scheduler_registry()) {
+        for (const auto make : {entry.make, entry.make_reference}) {
+            if (make == nullptr) continue;
+            const auto s = make({});
+            const bool rr = s->name().starts_with("lcf_central_rr");
+            EXPECT_EQ(ParanoidChecker::options_for(*s).check_diagonal_fairness,
+                      rr)
+                << s->name();
+            fair += rr ? 1 : 0;
+        }
+    }
+    EXPECT_EQ(fair, 6u);
 
-    const auto plain = ParanoidChecker::options_for("lcf_central", 0);
-    EXPECT_FALSE(plain.check_diagonal_fairness);
+    const auto plain =
+        ParanoidChecker::options_for(*core::make_scheduler("lcf_central"));
+    EXPECT_EQ(plain.iteration_budget, 0u);
 
-    const auto pim = ParanoidChecker::options_for("pim", 4);
-    EXPECT_FALSE(pim.check_diagonal_fairness);
+    const auto pim = ParanoidChecker::options_for(
+        *core::make_scheduler("pim", {.iterations = 4}));
     EXPECT_EQ(pim.iteration_budget, 4u);
 
-    const auto dist = ParanoidChecker::options_for("lcf_dist_rr", 2);
+    const auto dist = ParanoidChecker::options_for(
+        *core::make_scheduler("lcf_dist_rr", {.iterations = 2}));
     EXPECT_EQ(dist.iteration_budget, 2u);
 }
 

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -82,8 +83,7 @@ TEST_P(SchedEquivalence, BitIdenticalToReferenceOverRandomCycles) {
         opt->reset(g.inputs, g.outputs);
         ref->reset(g.inputs, g.outputs);
 
-        obs::ParanoidChecker checker(
-            obs::ParanoidChecker::options_for(name, opt->iteration_limit()));
+        obs::ParanoidChecker checker(obs::ParanoidChecker::options_for(*opt));
         checker.reset(g.inputs, g.outputs);
 
         util::Xoshiro256 rng(g.inputs * 1009 + g.outputs);
@@ -109,11 +109,17 @@ TEST_P(SchedEquivalence, BitIdenticalToReferenceOverRandomCycles) {
     }
 }
 
+// Every registered scheduler with a `*_reference` twin.
+std::vector<std::string> names_with_twin() {
+    std::vector<std::string> names;
+    for (const auto& entry : core::scheduler_registry()) {
+        if (entry.make_reference != nullptr) names.emplace_back(entry.name);
+    }
+    return names;
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    AllLcfSchedulers, SchedEquivalence,
-    ::testing::Values("lcf_central", "lcf_central_rr",
-                      "lcf_central_rr_single", "lcf_central_rr_first",
-                      "lcf_dist", "lcf_dist_rr"),
+    AllLcfSchedulers, SchedEquivalence, ::testing::ValuesIn(names_with_twin()),
     [](const auto& param_info) { return param_info.param; });
 
 // 20x12 gives wfront diagonals whose rows share an output; the random
@@ -124,14 +130,23 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& param_info) { return param_info.param; });
 
 TEST(SchedEquivalence, ReferenceNamesRoundTripThroughFactory) {
-    for (const auto& name : core::reference_scheduler_names()) {
-        EXPECT_TRUE(core::is_scheduler_name(name)) << name;
-        const auto s = core::make_scheduler(name);
-        EXPECT_EQ(s->name(), name);
+    const auto& listed = core::scheduler_names();
+    ASSERT_EQ(listed.size(), core::scheduler_registry().size());
+    for (std::size_t k = 0; k < listed.size(); ++k) {
+        const auto& entry = core::scheduler_registry()[k];
+        const std::string name(entry.name);
+        EXPECT_EQ(listed[k], name);
+        EXPECT_EQ(entry.make({})->name(), name);
+        EXPECT_EQ(core::make_scheduler(name)->name(), name);
+        const bool has_twin = entry.make_reference != nullptr;
+        EXPECT_TRUE(has_twin || !name.starts_with("lcf_")) << name;
+        const std::string twin = name + std::string(core::kReferenceSuffix);
+        EXPECT_EQ(core::is_scheduler_name(twin), has_twin) << twin;
+        if (!has_twin) continue;
+        EXPECT_EQ(entry.make_reference({})->name(), twin);
+        EXPECT_EQ(core::make_scheduler(twin)->name(), twin);
         // Deliberately not enumerated by sweeps and figure harnesses.
-        for (const auto& regular : core::scheduler_names()) {
-            EXPECT_NE(regular, name);
-        }
+        EXPECT_EQ(std::count(listed.begin(), listed.end(), twin), 0) << twin;
     }
 }
 

@@ -178,8 +178,7 @@ TEST_P(AllSchedulers, ParanoidCleanUnderTrafficDrivenBacklog) {
     for (const auto* traffic_name : {"uniform", "bursty", "hotspot"}) {
         for (const double load : {0.5, 0.9, 1.0}) {
             auto s = make(kPorts);
-            obs::ParanoidChecker checker(obs::ParanoidChecker::options_for(
-                s->name(), s->iteration_limit()));
+            obs::ParanoidChecker checker(obs::ParanoidChecker::options_for(*s));
             checker.reset(kPorts, kPorts);
             auto gen = traffic::make_traffic(traffic_name, load);
             gen->reset(kPorts, kPorts, 99);
@@ -236,8 +235,7 @@ TEST(ParanoidProperties, CleanOnRectangularGeometries) {
             auto s = core::make_scheduler(
                 name, sched::SchedulerConfig{.iterations = 8, .seed = 11});
             s->reset(n_in, n_out);
-            obs::ParanoidChecker checker(obs::ParanoidChecker::options_for(
-                s->name(), s->iteration_limit()));
+            obs::ParanoidChecker checker(obs::ParanoidChecker::options_for(*s));
             checker.reset(n_in, n_out);
             Matching m;
             std::vector<std::uint32_t> lengths(n_in * n_out, 0);

@@ -253,6 +253,13 @@ TEST(SwitchSim, RejectsInvalidConstruction) {
         SwitchSim(c, islip(),
                   std::make_unique<traffic::BernoulliUniform>(0.1)),
         std::invalid_argument);
+    // A warm-up covering the whole run would report an all-zero result.
+    c = tiny();
+    c.warmup_slots = c.slots;
+    EXPECT_THROW(
+        SwitchSim(c, islip(),
+                  std::make_unique<traffic::BernoulliUniform>(0.1)),
+        std::invalid_argument);
 }
 
 // Rejected configurations fail in the constructor, before any state is

@@ -6,13 +6,11 @@ soak) only catch a broken contract when a test happens to exercise it.
 This linter enforces the contracts at source level, with file:line
 diagnostics, so CI fails the moment a PR breaks one:
 
-  reference-twin   every optimized lcf_* scheduler registered in
-                   core::make_scheduler has a *_reference twin that is
-                   registered, enumerated by reference_scheduler_names(),
-                   pinned in tests/test_sched_equivalence.cpp, and
-                   documented in docs/performance.md.
-  sched-docs       every name in core::scheduler_names() is documented in
-                   docs/algorithms.md.
+  reference-twin   every optimized lcf_* row of the scheduler registry
+                   (kRegistry[] in src/core/factory.cpp) has a
+                   *_reference twin and is documented in
+                   docs/performance.md.
+  sched-docs       every registry row is documented in docs/algorithms.md.
   config-surface   every SimConfig field is documented in
                    docs/simulator.md and exposed as a --flag by the
                    flagship CLI (examples/latency_sweep.cpp); every
@@ -76,7 +74,6 @@ def _line_of(text: str, needle: str, default: int = 1) -> int:
 # ---------------------------------------------------------------------------
 
 _FACTORY = pathlib.Path("src/core/factory.cpp")
-_EQUIVALENCE = pathlib.Path("tests/test_sched_equivalence.cpp")
 _ALGO_DOCS = pathlib.Path("docs/algorithms.md")
 _PERF_DOCS = pathlib.Path("docs/performance.md")
 
@@ -85,78 +82,56 @@ _PERF_DOCS = pathlib.Path("docs/performance.md")
 _TWIN_FAMILIES = re.compile(r"^lcf_(central|dist)")
 
 
-def _registered_names(factory_text: str) -> dict[str, int]:
-    """Scheduler names registered via `if (name == "...")`, with lines."""
-    names: dict[str, int] = {}
-    for match in re.finditer(r'name\s*==\s*"([^"]+)"', factory_text):
-        names.setdefault(
-            match.group(1), factory_text.count("\n", 0, match.start()) + 1
-        )
-    return names
+class _Row(NamedTuple):
+    name: str
+    line: int
+    has_twin: bool
 
 
-def _listed_in(factory_text: str, function_name: str) -> set[str]:
-    """String literals inside `function_name`'s static names list."""
-    match = re.search(
-        r"(?<!\w)" + function_name + r"\(\)\s*{(.*?)\n}", factory_text,
-        re.DOTALL,
+def _registry_rows(factory_text: str) -> list[_Row]:
+    """Rows `{"name", make, make_reference}` of the kRegistry[] table."""
+    table = re.search(
+        r"kRegistry\[\]\s*=\s*{(.*?)\n};", factory_text, re.DOTALL
     )
-    if not match:
-        return set()
-    return set(re.findall(r'"([^"]+)"', match.group(1)))
+    if not table:
+        return []
+    rows = []
+    for match in re.finditer(r'{\s*"([^"]+)"([^}]*)}', table.group(1)):
+        rows.append(_Row(
+            match.group(1),
+            factory_text.count("\n", 0, table.start(1) + match.start()) + 1,
+            match.group(2).split(",")[-1].strip() != "nullptr",
+        ))
+    return rows
 
 
 def check_reference_twin(root: pathlib.Path) -> list[Finding]:
     factory_path = root / _FACTORY
-    factory = _read(factory_path)
-    equivalence_path = root / _EQUIVALENCE
-    equivalence = _read(equivalence_path) if equivalence_path.exists() else ""
     perf_docs = (
         _read(root / _PERF_DOCS) if (root / _PERF_DOCS).exists() else ""
     )
-
-    registered = _registered_names(factory)
-    reference_list = _listed_in(factory, "reference_scheduler_names")
+    rows = _registry_rows(_read(factory_path))
+    if not rows:
+        return [Finding(
+            factory_path, 1, "reference-twin",
+            "no kRegistry[] rows found — the scheduler registry table "
+            "moved or changed shape, so this linter cannot check it",
+        )]
     findings: list[Finding] = []
-
-    for name, line in sorted(registered.items()):
-        if name.endswith("_reference"):
-            base = name.removesuffix("_reference")
-            if base not in registered:
-                findings.append(Finding(
-                    factory_path, line, "reference-twin",
-                    f'twin "{name}" is registered but its base "{base}" '
-                    "is not",
-                ))
+    for row in rows:
+        if not _TWIN_FAMILIES.match(row.name):
             continue
-        if not _TWIN_FAMILIES.match(name):
-            continue
-        twin = name + "_reference"
-        if twin not in registered:
+        if not row.has_twin:
             findings.append(Finding(
-                factory_path, line, "reference-twin",
-                f'optimized scheduler "{name}" has no registered '
-                f'"{twin}" twin — per-bit oracles are mandatory for the '
-                "lcf_* families (docs/performance.md)",
+                factory_path, row.line, "reference-twin",
+                f'optimized scheduler "{row.name}" has no '
+                f'"{row.name}_reference" twin — per-bit oracles are '
+                "mandatory for the lcf_* families (docs/performance.md)",
             ))
-            continue
-        if twin not in reference_list:
-            findings.append(Finding(
-                factory_path, registered[twin], "reference-twin",
-                f'"{twin}" is registered but missing from '
-                "reference_scheduler_names() — the equivalence suite "
-                "enumerates twins through that list",
-            ))
-        if f'"{name}"' not in equivalence:
-            findings.append(Finding(
-                equivalence_path, 1, "reference-twin",
-                f'"{name}" is not pinned in the SchedEquivalence suite — '
-                "add it to the INSTANTIATE_TEST_SUITE_P value list",
-            ))
-        if perf_docs and name not in perf_docs:
+        if perf_docs and row.name not in perf_docs:
             findings.append(Finding(
                 root / _PERF_DOCS, 1, "reference-twin",
-                f'optimized scheduler "{name}" is not documented in '
+                f'optimized scheduler "{row.name}" is not documented in '
                 f"{_PERF_DOCS}",
             ))
     return findings
@@ -164,18 +139,17 @@ def check_reference_twin(root: pathlib.Path) -> list[Finding]:
 
 def check_sched_docs(root: pathlib.Path) -> list[Finding]:
     factory_path = root / _FACTORY
-    factory = _read(factory_path)
     docs_path = root / _ALGO_DOCS
     docs = _read(docs_path) if docs_path.exists() else ""
-    findings: list[Finding] = []
-    for name in sorted(_listed_in(factory, "scheduler_names")):
-        if name not in docs:
-            findings.append(Finding(
-                factory_path, _line_of(factory, f'"{name}"'), "sched-docs",
-                f'scheduler "{name}" is enumerated by scheduler_names() '
-                f"but not documented in {_ALGO_DOCS}",
-            ))
-    return findings
+    return [
+        Finding(
+            factory_path, row.line, "sched-docs",
+            f'scheduler "{row.name}" is registered but not documented in '
+            f"{_ALGO_DOCS}",
+        )
+        for row in _registry_rows(_read(factory_path))
+        if row.name not in docs
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -361,19 +335,10 @@ def run_checks(root: pathlib.Path) -> list[Finding]:
 
 _FIXTURE_FACTORY_BAD = """\
 namespace lcf::core {
-std::unique_ptr<sched::Scheduler> make_scheduler(std::string_view name) {
-    if (name == "lcf_central") return nullptr;
-    if (name == "islip") return nullptr;
-    throw std::invalid_argument("unknown");
-}
-const std::vector<std::string>& reference_scheduler_names() {
-    static const std::vector<std::string> names = {};
-    return names;
-}
-const std::vector<std::string>& scheduler_names() {
-    static const std::vector<std::string> names = {"lcf_central", "islip"};
-    return names;
-}
+constexpr SchedulerEntry kRegistry[] = {
+    {"lcf_central", central<Central, RrVariant::kNone>, nullptr},
+    {"islip", configured<sched::IslipScheduler>, nullptr},
+};
 }
 """
 
@@ -399,11 +364,9 @@ def self_test() -> int:
         (root / "src/core").mkdir(parents=True)
         (root / "src/sim").mkdir(parents=True)
         (root / "src/sched").mkdir(parents=True)
-        (root / "tests").mkdir()
         (root / "docs").mkdir()
 
         (root / _FACTORY).write_text(_FIXTURE_FACTORY_BAD)
-        (root / _EQUIVALENCE).write_text("// no pins here\n")
         (root / _ALGO_DOCS).write_text("# algorithms\n\nonly islip here\n")
         (root / _PERF_DOCS).write_text("# perf\n")
         (root / _SIM_CONFIG).write_text(_FIXTURE_SIM_CONFIG)
@@ -470,15 +433,10 @@ def self_test() -> int:
         # re-run.
         (root / _FACTORY).write_text(
             _FIXTURE_FACTORY_BAD.replace(
-                '    if (name == "islip") return nullptr;\n',
-                '    if (name == "islip") return nullptr;\n'
-                '    if (name == "lcf_central_reference") return nullptr;\n',
-            ).replace(
-                "names = {};",
-                'names = {"lcf_central_reference"};',
+                "kNone>, nullptr}",
+                "kNone>,\n     central<CentralRef, RrVariant::kNone>}",
             )
         )
-        (root / _EQUIVALENCE).write_text('Values("lcf_central")\n')
         (root / _ALGO_DOCS).write_text("covers lcf_central and islip\n")
         (root / _PERF_DOCS).write_text("lcf_central twin story\n")
         (root / _SIM_DOCS).write_text("`ports` and `mystery_knob`\n")
