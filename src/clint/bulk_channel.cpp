@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 
 namespace lcf::clint {
@@ -13,11 +12,6 @@ namespace {
 
 /// The packet formats carry one bit per host in 16-bit fields.
 constexpr std::size_t kMaxHosts = 16;
-
-/// Independent-bit corruption probability for `bits` bits at `ber`.
-double corruption_probability(double ber, std::size_t bits) noexcept {
-    return 1.0 - std::pow(1.0 - ber, static_cast<double>(bits));
-}
 
 }  // namespace
 
@@ -50,7 +44,6 @@ BulkChannelSim::BulkChannelSim(
     next_flow_seq_.assign(config_.hosts * config_.hosts, 0);
     switch_crc_flag_.assign(config_.hosts, false);
     switch_link_flag_.assign(config_.hosts, false);
-    host_up_.assign(config_.hosts, true);
     if (!config_.fault_plan.empty()) {
         injector_.emplace(config_.fault_plan);
         injector_->reset(config_.hosts);
@@ -64,25 +57,32 @@ BulkChannelSim::BulkChannelSim(
         checker_->reset(config_.hosts, config_.hosts);
     }
     // Independent-bit corruption over the nominal payload / ack sizes.
-    p_data_corrupt_ =
-        corruption_probability(config_.bit_error_rate, config_.payload_bits);
-    p_ack_corrupt_ =
-        corruption_probability(config_.bit_error_rate, config_.ack_bits);
+    p_data_corrupt_ = fault::corruption_probability(config_.bit_error_rate,
+                                                    config_.payload_bits);
+    p_ack_corrupt_ = fault::corruption_probability(config_.bit_error_rate,
+                                                   config_.ack_bits);
 }
 
 void BulkChannelSim::enqueue_multicast(std::size_t host,
                                        std::uint16_t target_mask) {
+    if (host >= config_.hosts) {
+        throw std::out_of_range("enqueue_multicast: host out of range");
+    }
+    // An entry naming no host could never be admitted and would block
+    // the host's multicast queue forever.
+    if ((target_mask & ((1U << config_.hosts) - 1)) == 0) {
+        throw std::invalid_argument("enqueue_multicast: mask names no host");
+    }
     hosts_[host].multicast.push_back(
         MulticastEntry{target_mask, next_packet_id_++, slot_});
 }
 
 void BulkChannelSim::set_bulk_enable_report(std::size_t host,
                                             std::uint16_t ben_mask) {
+    if (host >= config_.hosts) {
+        throw std::out_of_range("set_bulk_enable_report: host out of range");
+    }
     hosts_[host].ben_report = ben_mask;
-}
-
-bool BulkChannelSim::host_up(std::size_t host) const noexcept {
-    return host_up_[host];
 }
 
 std::uint64_t BulkChannelSim::retry_window(
@@ -149,14 +149,6 @@ void BulkChannelSim::crash_host(std::size_t host) {
     h.pending_fanout.clear();
 }
 
-void BulkChannelSim::apply_host_faults() {
-    for (std::size_t h = 0; h < config_.hosts; ++h) {
-        const bool up = injector_->host_up(h, slot_);
-        if (host_up_[h] && !up) crash_host(h);
-        host_up_[h] = up;
-    }
-}
-
 void BulkChannelSim::step_arrivals() {
     traffic_->arrivals(slot_, arrival_buf_.data());
     for (std::size_t h = 0; h < config_.hosts; ++h) {
@@ -166,7 +158,7 @@ void BulkChannelSim::step_arrivals() {
         sim::Packet p{next_packet_id_++, static_cast<std::uint32_t>(h),
                       static_cast<std::uint32_t>(dst), slot_};
         p.flow_seq = next_flow_seq_[flow_of(p)]++;
-        if (!host_up_[h]) {
+        if (!host_up(h)) {
             // A crashed host generates into the void: the application
             // offered the packet, the dead protocol stack lost it.
             ++stats_.crash_lost;
@@ -197,8 +189,8 @@ void BulkChannelSim::step_timeouts() {
                     seq_.skip(flow_of(o.packet), o.packet.flow_seq);
                 }
             } else {
-                h.retransmit.push_back(PendingRetransmit{
-                    o.packet, o.first_sent, o.retries + 1, o.delivered});
+                ++o.retries;
+                h.retransmit.push_back(o);
                 ++stats_.retransmissions;
             }
             h.outstanding.erase(h.outstanding.begin() +
@@ -207,11 +199,11 @@ void BulkChannelSim::step_timeouts() {
     }
 }
 
-bool BulkChannelSim::deliver(const sim::Packet& p, std::uint64_t first_sent,
-                             std::uint32_t retries) {
+void BulkChannelSim::deliver(const OutstandingTransfer& t) {
+    const sim::Packet& p = t.packet;
     if (!seq_.deliver(flow_of(p), p.flow_seq)) {
         ++stats_.duplicate_deliveries;
-        return false;
+        return;
     }
     ++stats_.delivered_unique;
     const std::uint64_t delay = slot_ + 1 - p.generated_slot;
@@ -220,11 +212,10 @@ bool BulkChannelSim::deliver(const sim::Packet& p, std::uint64_t first_sent,
         delay_hist_.add(delay);
     }
     if (slot_ >= config_.warmup_slots) ++delivered_after_warmup_;
-    if (retries > 0) {
+    if (t.retries > 0) {
         ++stats_.recovered;
-        recovery_delay_.add(static_cast<double>(slot_ + 1 - first_sent));
+        recovery_delay_.add(static_cast<double>(slot_ + 1 - t.first_sent));
     }
-    return true;
 }
 
 void BulkChannelSim::step_transfers() {
@@ -235,32 +226,22 @@ void BulkChannelSim::step_transfers() {
         // Multicast fan-out admitted by the precalculated stage.
         if (h.pending_multicast) {
             assert(!h.multicast.empty());
-            const MulticastEntry mc = h.multicast.front();
             h.multicast.pop_front();
             for (const std::size_t target : h.pending_fanout) {
-                double p_corrupt = p_data_corrupt_;
-                if (injector_) {
-                    const double extra =
-                        injector_->extra_ber(fault::LinkKind::kData, hi, slot_);
-                    if (extra > 0.0) {
-                        p_corrupt = 1.0 - (1.0 - p_data_corrupt_) *
-                                              std::pow(1.0 - extra,
-                                                       static_cast<double>(
-                                                           config_.payload_bits));
-                    }
-                }
+                const double p_corrupt =
+                    injector_ ? injector_->corruption_probability(
+                                    p_data_corrupt_, config_.payload_bits,
+                                    fault::LinkKind::kData, hi, slot_)
+                              : p_data_corrupt_;
                 if (data_rng_.next_bool(p_corrupt)) {
                     ++stats_.data_corruptions;
                 } else if (injector_ &&
-                           (!host_up_[target] ||
-                            injector_->packet_lost(fault::LinkKind::kData, hi,
-                                                   slot_))) {
+                           injector_->data_lost(hi, target, slot_)) {
                     ++stats_.multicast_lost;
                 } else {
                     ++stats_.multicast_copies;
                 }
             }
-            (void)mc;
             h.pending_multicast = false;
             h.pending_fanout.clear();
         }
@@ -273,68 +254,50 @@ void BulkChannelSim::step_transfers() {
 
         // Pick the packet for this target: lost transfers first, then
         // the VOQ head.
-        sim::Packet packet;
-        std::uint64_t first_sent = slot_;
-        std::uint32_t retries = 0;
-        bool delivered_before = false;
+        OutstandingTransfer t;
         const auto rit = std::find_if(
             h.retransmit.begin(), h.retransmit.end(),
-            [&](const PendingRetransmit& r) {
+            [&](const OutstandingTransfer& r) {
                 return r.packet.destination == target;
             });
         if (rit != h.retransmit.end()) {
-            packet = rit->packet;
-            first_sent = rit->first_sent;
-            retries = rit->retries;
-            delivered_before = rit->delivered;
+            t = *rit;
             h.retransmit.erase(rit);
         } else {
             assert(!h.voqs.empty(target));
-            packet = h.voqs.pop(target);
+            t.packet = h.voqs.pop(target);
+            t.first_sent = slot_;
         }
+        t.sent_slot = slot_;
 
         // Bulk data packet across the fabric.
-        double p_corrupt = p_data_corrupt_;
-        if (injector_) {
-            const double extra =
-                injector_->extra_ber(fault::LinkKind::kData, hi, slot_);
-            if (extra > 0.0) {
-                p_corrupt =
-                    1.0 - (1.0 - p_data_corrupt_) *
-                              std::pow(1.0 - extra,
-                                       static_cast<double>(config_.payload_bits));
-            }
-        }
+        const double p_corrupt =
+            injector_ ? injector_->corruption_probability(
+                            p_data_corrupt_, config_.payload_bits,
+                            fault::LinkKind::kData, hi, slot_)
+                      : p_data_corrupt_;
         if (data_rng_.next_bool(p_corrupt) ||
-            (injector_ && (!host_up_[target] ||
-                           injector_->packet_lost(fault::LinkKind::kData, hi,
-                                                  slot_)))) {
+            (injector_ && injector_->data_lost(hi, target, slot_))) {
             ++stats_.data_corruptions;
             // No ack will come; the timeout path retransmits.
-            h.outstanding.push_back(OutstandingTransfer{
-                packet, slot_, first_sent, retries, delivered_before});
+            h.outstanding.push_back(t);
             continue;
         }
-        deliver(packet, first_sent, retries);
+        deliver(t);
 
         // Acknowledgment back over the quick channel (sent by `target`).
         last_acks_.emplace_back(target, hi);
-        double p_ack = p_ack_corrupt_;
-        if (injector_) {
-            const double extra =
-                injector_->extra_ber(fault::LinkKind::kAck, target, slot_);
-            if (extra > 0.0) {
-                p_ack = 1.0 - (1.0 - p_ack_corrupt_) *
-                                  std::pow(1.0 - extra,
-                                           static_cast<double>(config_.ack_bits));
-            }
-        }
+        const double p_ack =
+            injector_ ? injector_->corruption_probability(
+                            p_ack_corrupt_, config_.ack_bits,
+                            fault::LinkKind::kAck, target, slot_)
+                      : p_ack_corrupt_;
         if (data_rng_.next_bool(p_ack) ||
             (injector_ &&
              injector_->packet_lost(fault::LinkKind::kAck, target, slot_))) {
             ++stats_.ack_losses;
-            h.outstanding.push_back(OutstandingTransfer{
-                packet, slot_, first_sent, retries, true});
+            t.delivered = true;
+            h.outstanding.push_back(t);
         }
         // Ack received: transfer complete, nothing outstanding.
     }
@@ -364,7 +327,7 @@ void BulkChannelSim::step_scheduling() {
     std::uint16_t up_mask = 0;
     std::uint16_t ben_consensus = 0xFFFF;
     for (std::size_t h = 0; h < n; ++h) {
-        if (!host_up_[h]) {
+        if (!host_up(h)) {
             // A crashed host sends nothing; the switch reports linkErr
             // in the grant it would have returned.
             switch_link_flag_[h] = true;
@@ -423,7 +386,7 @@ void BulkChannelSim::step_scheduling() {
     if (checker_) checker_->check_cycle(requests_, schedule_.unicast);
 
     for (std::size_t h = 0; h < n; ++h) {
-        if (!host_up_[h]) continue;  // nobody is listening for this grant
+        if (!host_up(h)) continue;  // nobody is listening for this grant
         GrantPacket gnt;
         gnt.node_id = static_cast<std::uint8_t>(h);
         const std::int32_t target = schedule_.unicast.output_of(h);
@@ -468,8 +431,7 @@ void BulkChannelSim::step_scheduling() {
 
 void BulkChannelSim::step() {
     if (injector_) {
-        injector_->begin_slot(slot_);
-        apply_host_faults();
+        for (const std::size_t h : injector_->begin_slot(slot_)) crash_host(h);
     }
     last_acks_.clear();
     step_arrivals();
@@ -486,16 +448,12 @@ std::size_t BulkChannelSim::buffered_total() const noexcept {
         total += h.retransmit.size();
         total += h.outstanding.size();
         total += h.multicast.size();
-        if (h.pending_grant) {
-            // The granted packet is still inside a VOQ or the
-            // retransmit queue, so it is already counted.
-        }
     }
     return total;
 }
 
-BulkAccounting BulkChannelSim::accounting() const noexcept {
-    BulkAccounting a;
+sim::Accounting BulkChannelSim::accounting() const noexcept {
+    sim::Accounting a;
     a.generated = stats_.generated;
     a.delivered_unique = stats_.delivered_unique;
     a.dropped = stats_.dropped_voq + stats_.crash_lost;

@@ -36,6 +36,7 @@
 #include "fault/fault_injector.hpp"
 #include "obs/paranoid_checker.hpp"
 #include "sched/request_matrix.hpp"
+#include "sim/metrics.hpp"
 #include "sim/voq.hpp"
 #include "traffic/traffic.hpp"
 #include "util/histogram.hpp"
@@ -76,24 +77,8 @@ struct BulkChannelConfig {
     bool paranoid = false;
 };
 
-/// Exact conservation snapshot of a bulk-channel run. Every generated
-/// packet is in exactly one term on the right-hand side of
-///   generated = delivered_unique + queued + in_flight
-///             + dropped + abandoned
-/// at every slot boundary; balanced() checks the identity.
-struct BulkAccounting {
-    std::uint64_t generated = 0;
-    std::uint64_t delivered_unique = 0;
-    std::uint64_t queued = 0;     ///< undelivered, in VOQs or retransmit queues
-    std::uint64_t in_flight = 0;  ///< undelivered, awaiting acknowledgment
-    std::uint64_t dropped = 0;    ///< VOQ overflow + destroyed by host crashes
-    std::uint64_t abandoned = 0;  ///< gave up after max_retries, undelivered
-
-    [[nodiscard]] bool balanced() const noexcept {
-        return generated ==
-               delivered_unique + queued + in_flight + dropped + abandoned;
-    }
-};
+/// The shared conservation snapshot, under its bulk-channel name.
+using BulkAccounting = sim::Accounting;
 
 /// Measurements of one bulk-channel run.
 struct BulkChannelResult {
@@ -136,7 +121,9 @@ public:
     /// Queue a multicast packet at `host` destined for every target in
     /// `target_mask`; it will be advertised through the configuration
     /// packet's `pre` field and admitted by the scheduler's
-    /// precalculated stage (§4.3).
+    /// precalculated stage (§4.3). Throws std::out_of_range when `host`
+    /// is not a host of this channel and std::invalid_argument when
+    /// `target_mask` names none of its hosts.
     void enqueue_multicast(std::size_t host, std::uint16_t target_mask);
 
     /// Set the bulk-enable mask `host` reports in its configuration
@@ -145,7 +132,8 @@ public:
     /// hosts whose configuration decoded correctly; an initiator whose
     /// bit is cleared anywhere is fenced off: its requests and
     /// precalculated claims are ignored until re-enabled. Defaults to
-    /// all-enabled.
+    /// all-enabled. Throws std::out_of_range when `host` is not a host
+    /// of this channel.
     void set_bulk_enable_report(std::size_t host, std::uint16_t ben_mask);
 
     /// Initiators currently fenced off by the ben consensus (as of the
@@ -167,11 +155,16 @@ public:
     /// multicasts. Supports conservation checks in the test suite.
     [[nodiscard]] std::size_t buffered_total() const noexcept;
 
-    /// Conservation snapshot as of the last slot boundary.
-    [[nodiscard]] BulkAccounting accounting() const noexcept;
+    /// Conservation snapshot as of the last slot boundary: `queued`
+    /// counts undelivered packets in VOQs and retransmit queues,
+    /// `in_flight` undelivered unacknowledged transfers, `dropped` VOQ
+    /// overflow plus crash losses.
+    [[nodiscard]] sim::Accounting accounting() const noexcept;
 
-    /// True while `host` is inside a fault-plan crash interval.
-    [[nodiscard]] bool host_up(std::size_t host) const noexcept;
+    /// False while `host` is inside a fault-plan crash interval.
+    [[nodiscard]] bool host_up(std::size_t host) const noexcept {
+        return !injector_ || injector_->host_up(host);
+    }
 
     /// Fault injector (engaged iff the config's plan is non-empty).
     [[nodiscard]] const std::optional<fault::FaultInjector>& fault_injector()
@@ -205,18 +198,13 @@ public:
     }
 
 private:
+    /// A transfer awaiting its ack, or timed out and awaiting a regrant.
     struct OutstandingTransfer {
         sim::Packet packet;
         std::uint64_t sent_slot = 0;   ///< most recent transmission
         std::uint64_t first_sent = 0;  ///< first transmission (recovery delay)
         std::uint32_t retries = 0;     ///< retransmissions so far
         bool delivered = false;  ///< target already has it (its ack was lost)
-    };
-    struct PendingRetransmit {
-        sim::Packet packet;
-        std::uint64_t first_sent = 0;
-        std::uint32_t retries = 0;
-        bool delivered = false;
     };
     struct MulticastEntry {
         std::uint16_t target_mask = 0;
@@ -225,7 +213,7 @@ private:
     };
     struct Host {
         sim::VoqBank voqs;
-        std::deque<PendingRetransmit> retransmit;  // timed-out, awaiting regrant
+        std::deque<OutstandingTransfer> retransmit;  // timed out, to regrant
         std::vector<OutstandingTransfer> outstanding;  // awaiting ack
         std::vector<std::size_t> committed;   // grants not yet transferred, per target
         std::deque<MulticastEntry> multicast;
@@ -242,15 +230,13 @@ private:
     [[nodiscard]] std::uint64_t retry_window(std::uint32_t retries)
         const noexcept;
     [[nodiscard]] std::uint16_t request_mask(const Host& h) const;
-    void apply_host_faults();
     void crash_host(std::size_t host);
     void step_arrivals();
     void step_timeouts();
     void step_transfers();
     void step_scheduling();
-    /// Hand `p` to its target. Returns true on first delivery.
-    bool deliver(const sim::Packet& p, std::uint64_t first_sent,
-                 std::uint32_t retries);
+    /// Hand the transfer's packet to its target.
+    void deliver(const OutstandingTransfer& t);
 
     BulkChannelConfig config_;
     std::unique_ptr<traffic::TrafficGenerator> traffic_;
@@ -272,7 +258,6 @@ private:
     std::vector<bool> switch_link_flag_;  // linkErr to report per host
 
     std::optional<fault::FaultInjector> injector_;
-    std::vector<bool> host_up_;  // as of the last apply_host_faults()
     // Per-slot arrival destinations (one batched traffic_->arrivals()
     // call per slot instead of hosts virtual calls).
     std::vector<std::int32_t> arrival_buf_;

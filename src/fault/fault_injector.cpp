@@ -1,6 +1,7 @@
 #include "fault/fault_injector.hpp"
 
 #include <cassert>
+#include <cmath>
 
 #include "util/bitflip.hpp"
 
@@ -13,7 +14,25 @@ constexpr bool in_interval(std::uint64_t slot, std::uint64_t begin,
     return slot >= begin && slot < end;
 }
 
+/// Composes the `rate` of every epoch active on the link at `slot` as
+/// independent events: 1 - prod(1 - rate_k).
+template <typename Epoch>
+double compose(const std::vector<Epoch>& epochs, double Epoch::*rate,
+               LinkKind kind, std::size_t index, std::uint64_t slot) noexcept {
+    double keep = 1.0;
+    for (const Epoch& e : epochs) {
+        if (e.link.matches(kind, index) && in_interval(slot, e.begin, e.end)) {
+            keep *= 1.0 - e.*rate;
+        }
+    }
+    return 1.0 - keep;
+}
+
 }  // namespace
+
+double corruption_probability(double ber, std::size_t bits) noexcept {
+    return 1.0 - std::pow(1.0 - ber, static_cast<double>(bits));
+}
 
 void FaultCounters::merge(const FaultCounters& other) noexcept {
     packets_dropped += other.packets_dropped;
@@ -39,6 +58,8 @@ void FaultInjector::reset(std::size_t hosts) {
                 util::derive_seed(plan_.seed, kind * 4096 + index));
         }
     }
+    host_up_.assign(hosts, 1);
+    went_down_.clear();
     counters_ = FaultCounters{};
 }
 
@@ -48,7 +69,7 @@ util::Xoshiro256& FaultInjector::rng_for(LinkKind kind,
     return rngs_[static_cast<std::size_t>(kind) * hosts_ + index];
 }
 
-void FaultInjector::begin_slot(std::uint64_t slot) {
+std::span<const std::size_t> FaultInjector::begin_slot(std::uint64_t slot) {
     for (const auto& c : plan_.host_crashes) {
         if (c.crash_slot == slot) ++counters_.crashes;
         if (c.restart_slot == slot && c.restart_slot != kForever) {
@@ -56,6 +77,13 @@ void FaultInjector::begin_slot(std::uint64_t slot) {
         }
     }
     if (scheduler_stalled(slot)) ++counters_.stalled_slots;
+    went_down_.clear();
+    for (std::size_t h = 0; h < hosts_; ++h) {
+        const bool up = host_up(h, slot);
+        if (host_up_[h] != 0 && !up) went_down_.push_back(h);
+        host_up_[h] = up ? 1 : 0;
+    }
+    return went_down_;
 }
 
 bool FaultInjector::host_up(std::size_t host,
@@ -87,50 +115,26 @@ bool FaultInjector::scheduler_stalled(std::uint64_t slot) const noexcept {
 
 double FaultInjector::extra_ber(LinkKind kind, std::size_t index,
                                 std::uint64_t slot) const noexcept {
-    double keep = 1.0;
-    for (const auto& e : plan_.bit_error_epochs) {
-        if (e.link.matches(kind, index) && in_interval(slot, e.begin, e.end)) {
-            keep *= 1.0 - e.bit_error_rate;
-        }
-    }
-    return 1.0 - keep;
+    return compose(plan_.bit_error_epochs, &BitErrorEpoch::bit_error_rate,
+                   kind, index, slot);
 }
 
-double FaultInjector::loss_probability(LinkKind kind, std::size_t index,
-                                       std::uint64_t slot) const noexcept {
-    double keep = 1.0;
-    for (const auto& e : plan_.packet_loss_epochs) {
-        if (e.link.matches(kind, index) && in_interval(slot, e.begin, e.end)) {
-            keep *= 1.0 - e.loss;
-        }
-    }
-    return 1.0 - keep;
-}
-
-double FaultInjector::truncation_probability(
-    LinkKind kind, std::size_t index, std::uint64_t slot) const noexcept {
-    double keep = 1.0;
-    for (const auto& e : plan_.packet_loss_epochs) {
-        if (e.link.matches(kind, index) && in_interval(slot, e.begin, e.end)) {
-            keep *= 1.0 - e.truncation;
-        }
-    }
-    return 1.0 - keep;
+double FaultInjector::corruption_probability(
+    double base, std::size_t bits, LinkKind kind, std::size_t index,
+    std::uint64_t slot) const noexcept {
+    const double extra = extra_ber(kind, index, slot);
+    if (extra <= 0.0) return base;
+    return 1.0 -
+           (1.0 - base) * std::pow(1.0 - extra, static_cast<double>(bits));
 }
 
 bool FaultInjector::transmit(LinkKind kind, std::size_t index,
                              std::uint64_t slot,
                              std::vector<std::uint8_t>& wire) {
-    if (!link_up(kind, index, slot)) {
-        ++counters_.packets_dropped;
-        return false;
-    }
-    const double p_loss = loss_probability(kind, index, slot);
-    if (p_loss > 0.0 && rng_for(kind, index).next_bool(p_loss)) {
-        ++counters_.packets_dropped;
-        return false;
-    }
-    const double p_trunc = truncation_probability(kind, index, slot);
+    if (packet_lost(kind, index, slot)) return false;
+    const double p_trunc = compose(plan_.packet_loss_epochs,
+                                   &PacketLossEpoch::truncation, kind, index,
+                                   slot);
     if (p_trunc > 0.0 && !wire.empty() &&
         rng_for(kind, index).next_bool(p_trunc)) {
         // Cut to a strictly shorter length, possibly zero bytes.
@@ -156,7 +160,9 @@ bool FaultInjector::packet_lost(LinkKind kind, std::size_t index,
         ++counters_.packets_dropped;
         return true;
     }
-    const double p_loss = loss_probability(kind, index, slot);
+    const double p_loss =
+        compose(plan_.packet_loss_epochs, &PacketLossEpoch::loss, kind, index,
+                slot);
     if (p_loss > 0.0 && rng_for(kind, index).next_bool(p_loss)) {
         ++counters_.packets_dropped;
         return true;

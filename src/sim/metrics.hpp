@@ -74,6 +74,27 @@ private:
     std::vector<std::uint64_t> service_;  // row-major inputs × outputs
 };
 
+/// Exact conservation snapshot of a run, shared by SwitchSim and both
+/// Clint channels. Every generated packet is in exactly one term on the
+/// right-hand side of
+///   generated = delivered_unique + queued + in_flight
+///             + dropped + abandoned
+/// at every slot boundary; balanced() checks the identity. Each
+/// simulation's accounting() says which of its buffers feed each term.
+struct Accounting {
+    std::uint64_t generated = 0;
+    std::uint64_t delivered_unique = 0;
+    std::uint64_t queued = 0;     ///< undelivered, waiting in a queue or buffer
+    std::uint64_t in_flight = 0;  ///< undelivered, awaiting acknowledgment
+    std::uint64_t dropped = 0;    ///< queue overflow + destroyed by crashes
+    std::uint64_t abandoned = 0;  ///< gave up after max_retries, undelivered
+
+    [[nodiscard]] bool balanced() const noexcept {
+        return generated ==
+               delivered_unique + queued + in_flight + dropped + abandoned;
+    }
+};
+
 /// Summary of one finished run, cheap to copy around benches.
 struct SimResult {
     double mean_delay = 0.0;    ///< slots, post-warm-up deliveries

@@ -98,7 +98,6 @@ SwitchSim::SwitchSim(const SimConfig& config,
             checker_->reset(config_.ports, config_.ports);
         }
     }
-    port_up_.assign(config_.ports, true);
     if (!config_.fault_plan.empty()) {
         injector_.emplace(config_.fault_plan);
         injector_->reset(config_.ports);
@@ -147,7 +146,7 @@ void SwitchSim::step_arrivals() {
         const std::int32_t dst = arrival_buf_[i];
         if (dst == traffic::kNoArrival) continue;
         metrics_.on_generated();
-        if (!port_up_[i]) {
+        if (injector_ && !injector_->host_up(i)) {
             // A crashed host offers the packet into the void.
             metrics_.on_dropped();
             ++next_packet_id_;
@@ -274,7 +273,7 @@ const sched::RequestMatrix& SwitchSim::scheduler_requests() {
     // goes on a copy; requests_ keeps recording the true occupancy.
     masked_requests_ = requests_;
     for (std::size_t i = 0; i < config_.ports; ++i) {
-        if (!port_up_[i]) {
+        if (!injector_->host_up(i)) {
             // set() per bit keeps the copied column view valid.
             for (const std::size_t j :
                  std::as_const(masked_requests_).row(i).set_bits()) {
@@ -283,7 +282,7 @@ const sched::RequestMatrix& SwitchSim::scheduler_requests() {
             continue;
         }
         for (std::size_t j = 0; j < config_.ports; ++j) {
-            if (!port_up_[j]) masked_requests_.set(i, j, false);
+            if (!injector_->host_up(j)) masked_requests_.set(i, j, false);
         }
     }
     return masked_requests_;
@@ -332,12 +331,9 @@ void SwitchSim::step_outbuf_mode() {
 }
 
 void SwitchSim::step() {
-    if (injector_) {
-        injector_->begin_slot(slot_);
-        for (std::size_t i = 0; i < config_.ports; ++i) {
-            port_up_[i] = injector_->host_up(i, slot_);
-        }
-    }
+    // A crashed port keeps what it buffered, so the ports that went
+    // down need no handling here.
+    if (injector_) injector_->begin_slot(slot_);
     step_arrivals();
     switch (config_.mode) {
         case SwitchMode::kVoq:
@@ -356,6 +352,17 @@ void SwitchSim::step() {
 SimResult SwitchSim::run() {
     while (slot_ < config_.slots) step();
     return result();
+}
+
+Accounting SwitchSim::accounting() const noexcept {
+    Accounting a;
+    a.generated = metrics_.generated();
+    a.delivered_unique = metrics_.delivered();
+    a.dropped = metrics_.dropped();
+    for (const PacketQueue& q : input_queues_) a.queued += q.size();
+    for (const VoqBank& bank : voqs_) a.queued += bank.total_buffered();
+    for (const PacketQueue& q : output_buffers_) a.queued += q.size();
+    return a;
 }
 
 SimResult SwitchSim::result() const {

@@ -74,10 +74,10 @@ struct SimConfig {
 
     /// Validate cycle-level scheduler invariants every scheduling cycle
     /// (obs::ParanoidChecker). A violation throws std::logic_error from
-    /// step(). Checks are configured from the scheduler's name: the
-    /// rotating-diagonal variants additionally get the §3 fairness check
-    /// (granted within n² cycles under a continuously asserted request),
-    /// iterative matchers their iteration-budget check.
+    /// step(). Checks are configured from the scheduler's traits: a
+    /// scheduler with a rotating-diagonal guarantee additionally gets the
+    /// §3 fairness check (granted within n² cycles under a continuously
+    /// asserted request), an iterative matcher its iteration-budget check.
     bool paranoid = false;
     /// When > 0, keep an obs::SchedTrace ring of the most recent
     /// `trace_capacity` scheduling cycles, accessible via
@@ -114,6 +114,11 @@ public:
     [[nodiscard]] std::uint64_t current_slot() const noexcept { return slot_; }
     /// Summary of everything measured so far.
     [[nodiscard]] SimResult result() const;
+    /// Conservation snapshot as of the last slot boundary: `queued`
+    /// counts the packet queues, VOQs, FIFOs and output buffers;
+    /// `in_flight` and `abandoned` are always 0 (nothing is acknowledged
+    /// or retried). Crashed ports keep what they buffered.
+    [[nodiscard]] Accounting accounting() const noexcept;
 
     [[nodiscard]] const SimConfig& config() const noexcept { return config_; }
     [[nodiscard]] const MetricsCollector& metrics() const noexcept {
@@ -211,7 +216,6 @@ private:
     obs::SchedCounters counters_;
 
     std::optional<fault::FaultInjector> injector_;
-    std::vector<bool> port_up_;  // refreshed at the top of every step
 
     std::optional<fabric::ClosNetwork> clos_;
     std::uint64_t fabric_blocked_ = 0;

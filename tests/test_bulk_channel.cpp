@@ -313,5 +313,33 @@ TEST(BulkChannel, RejectsBadConfiguration) {
     EXPECT_THROW(BulkChannelSim(c, nullptr), std::invalid_argument);
 }
 
+TEST(BulkChannel, EnqueueMulticastRejectsUnknownHosts) {
+    BulkChannelSim sim(small_config(),
+                       std::make_unique<traffic::BernoulliUniform>(0.1));
+    EXPECT_THROW(sim.enqueue_multicast(4, 0b0011), std::out_of_range);
+    EXPECT_THROW(sim.enqueue_multicast(16, 0b0011), std::out_of_range);
+    EXPECT_EQ(sim.buffered_total(), 0u);
+}
+
+TEST(BulkChannel, SetBulkEnableReportRejectsUnknownHosts) {
+    BulkChannelSim sim(small_config(),
+                       std::make_unique<traffic::BernoulliUniform>(0.1));
+    EXPECT_THROW(sim.set_bulk_enable_report(4, 0xFFFF), std::out_of_range);
+    sim.set_bulk_enable_report(3, 0xFFFF);
+}
+
+TEST(BulkChannel, EnqueueMulticastRejectsMaskNamingNoHost) {
+    BulkChannelSim sim(small_config(),
+                       std::make_unique<traffic::BernoulliUniform>(0.1));
+    // Such an entry could never be admitted and would block host 0's
+    // multicast queue for good.
+    EXPECT_THROW(sim.enqueue_multicast(0, 0), std::invalid_argument);
+    EXPECT_THROW(sim.enqueue_multicast(0, 0b0011'0000), std::invalid_argument);
+    // Bits beyond the last host are ignored when some host is named.
+    sim.enqueue_multicast(0, 0b0001'0100);
+    const auto r = sim.run();
+    EXPECT_EQ(r.multicast_copies, 1u);
+}
+
 }  // namespace
 }  // namespace lcf::clint

@@ -529,6 +529,157 @@ TEST(FaultGolden, QuickChannel100HostsWithBitErrorsAndCrashes) {
 }
 
 // ---------------------------------------------------------------------
+// Golden pins for the abstract data/ack paths, where each channel
+// composes its base bit-error model with the plan's epochs: bit-error
+// and packet-loss epochs on both paths, a data link-down interval, two
+// overlapping crash intervals on one host (it crashes once), and — on
+// the bulk channel — multicast fan-out during the data epoch. Recorded
+// before the loss model moved into fault::FaultInjector.
+// ---------------------------------------------------------------------
+
+fault::FaultPlan abstract_path_plan() {
+    fault::FaultPlan p;
+    p.add_bit_error_epoch({fault::LinkKind::kData, fault::kAllLinks}, 400,
+                          1600, 2e-5)
+        .add_bit_error_epoch({fault::LinkKind::kAck, 2}, 800, 2200, 2e-3)
+        .add_packet_loss({fault::LinkKind::kData, 1}, 1000, 2400, 0.2)
+        .add_packet_loss({fault::LinkKind::kAck, fault::kAllLinks}, 1500,
+                         2600, 0.1)
+        .add_link_down({fault::LinkKind::kData, 4}, 1200, 1500)
+        .add_host_crash(6, 700, 1300)
+        .add_host_crash(6, 1000, 1700);
+    return p;
+}
+
+BulkStormOutcome golden_bulk_abstract_path_run() {
+    BulkChannelConfig c;
+    c.hosts = 8;
+    c.slots = 3000;
+    c.warmup_slots = 300;
+    c.seed = 808;
+    c.bit_error_rate = 1e-5;
+    c.fault_plan = abstract_path_plan();
+    BulkChannelSim sim(c, std::make_unique<traffic::BernoulliUniform>(0.5));
+    BulkStormOutcome out;
+    while (sim.current_slot() < c.slots) {
+        const std::uint64_t t = sim.current_slot();
+        if (t >= 400 && t < 1600 && t % 50 == 0) {
+            // Rotating sources, fan-out that includes the crashing host 6.
+            sim.enqueue_multicast((t / 50) % 8, 0b01010110);
+        }
+        sim.step();
+    }
+    out.result = sim.result();
+    out.buffered = sim.buffered_total();
+    out.accounting = sim.accounting();
+    return out;
+}
+
+QuickStormOutcome golden_quick_abstract_path_run() {
+    QuickChannelConfig c;
+    c.hosts = 8;
+    c.slots = 3000;
+    c.warmup_slots = 300;
+    c.seed = 909;
+    c.bit_error_rate = 1e-5;
+    c.fault_plan = abstract_path_plan();
+    QuickChannelSim sim(c, std::make_unique<traffic::BernoulliUniform>(0.3));
+    while (sim.current_slot() < c.slots) {
+        const std::uint64_t t = sim.current_slot();
+        if (t % 3 == 0) sim.inject_control(t % 8, (t * 5 + 3) % 8);
+        sim.step();
+    }
+    QuickStormOutcome out;
+    out.result = sim.result();
+    out.control_sent = sim.control_sent();
+    out.control_preemptions = sim.control_preemptions();
+    out.control_lost = sim.control_lost();
+    out.accounting = sim.accounting();
+    return out;
+}
+
+TEST(FaultGolden, BulkChannelAbstractPathFaults) {
+    const BulkStormOutcome o = golden_bulk_abstract_path_run();
+    const BulkChannelResult& r = o.result;
+    EXPECT_DOUBLE_EQ(r.mean_delay, 65.882510410470346);
+    EXPECT_DOUBLE_EQ(r.max_delay, 1121.0);
+    EXPECT_EQ(r.p50_delay, 5u);
+    EXPECT_EQ(r.p99_delay, 948u);
+    EXPECT_EQ(r.generated, 11904u);
+    EXPECT_EQ(r.delivered_unique, 11319u);
+    EXPECT_EQ(r.duplicate_deliveries, 622u);
+    EXPECT_EQ(r.dropped_voq, 0u);
+    EXPECT_EQ(r.config_crc_errors, 27u);
+    EXPECT_EQ(r.grant_crc_errors, 12u);
+    EXPECT_EQ(r.configs_lost, 0u);
+    EXPECT_EQ(r.grants_lost, 0u);
+    EXPECT_EQ(r.data_corruptions, 4382u);
+    EXPECT_EQ(r.ack_losses, 622u);
+    EXPECT_EQ(r.retransmissions, 4976u);
+    EXPECT_EQ(r.abandoned, 0u);
+    EXPECT_EQ(r.crash_lost, 501u);
+    EXPECT_EQ(r.recovered, 2735u);
+    EXPECT_DOUBLE_EQ(r.mean_recovery_delay, 13.198903107861046);
+    EXPECT_EQ(r.multicast_copies, 50u);
+    EXPECT_EQ(r.multicast_lost, 3u);
+    EXPECT_DOUBLE_EQ(r.goodput, 0.46736111111111112);
+    EXPECT_EQ(r.sched,
+              (obs::SchedCounters{.cycles = 3000, .requests = 48784,
+                  .grants = 16308, .empty_cycles = 0, .max_matching = 8,
+                  .max_starvation_age = 0, .paranoid_violations = 0,
+                  .stalled_cycles = 0}));
+    // FaultCounters count the plan's interval edges: two crashes and two
+    // restarts for host 6's single down period.
+    EXPECT_EQ(r.faults,
+              (fault::FaultCounters{.packets_dropped = 862,
+                  .packets_truncated = 0, .packets_corrupted = 0,
+                  .bits_flipped = 0, .crashes = 2, .restarts = 2,
+                  .stalled_slots = 0}));
+    EXPECT_EQ(o.buffered, 84u);
+    EXPECT_EQ(o.accounting.generated, 11904u);
+    EXPECT_EQ(o.accounting.delivered_unique, 11319u);
+    EXPECT_EQ(o.accounting.queued, 82u);
+    EXPECT_EQ(o.accounting.in_flight, 2u);
+    EXPECT_EQ(o.accounting.dropped, 501u);
+    EXPECT_EQ(o.accounting.abandoned, 0u);
+    EXPECT_TRUE(o.accounting.balanced());
+}
+
+TEST(FaultGolden, QuickChannelAbstractPathFaults) {
+    const QuickStormOutcome o = golden_quick_abstract_path_run();
+    const QuickChannelResult& r = o.result;
+    EXPECT_DOUBLE_EQ(r.mean_delay, 78.905656967287072);
+    EXPECT_DOUBLE_EQ(r.max_delay, 523.0);
+    EXPECT_EQ(r.generated, 7237u);
+    EXPECT_EQ(r.delivered_unique, 6230u);
+    EXPECT_EQ(r.duplicate_deliveries, 338u);
+    EXPECT_EQ(r.dropped_queue, 549u);
+    EXPECT_EQ(r.collisions, 3484u);
+    EXPECT_EQ(r.corruptions, 170u);
+    EXPECT_EQ(r.fault_losses, 1431u);
+    EXPECT_EQ(r.retransmissions, 4750u);
+    EXPECT_EQ(r.abandoned, 153u);
+    EXPECT_EQ(r.abandoned_delivered, 0u);
+    EXPECT_EQ(r.crash_lost, 302u);
+    EXPECT_DOUBLE_EQ(r.delivery_ratio, 0.86085394500483625);
+    EXPECT_EQ(r.faults,
+              (fault::FaultCounters{.packets_dropped = 533,
+                  .packets_truncated = 0, .packets_corrupted = 0,
+                  .bits_flipped = 0, .crashes = 2, .restarts = 2,
+                  .stalled_slots = 0}));
+    EXPECT_EQ(o.control_sent, 1000u);
+    EXPECT_EQ(o.control_preemptions, 493u);
+    EXPECT_EQ(o.control_lost, 43u);
+    EXPECT_EQ(o.accounting.generated, 7237u);
+    EXPECT_EQ(o.accounting.delivered_unique, 6230u);
+    EXPECT_EQ(o.accounting.queued, 2u);
+    EXPECT_EQ(o.accounting.in_flight, 1u);
+    EXPECT_EQ(o.accounting.dropped, 851u);
+    EXPECT_EQ(o.accounting.abandoned, 153u);
+    EXPECT_TRUE(o.accounting.balanced());
+}
+
+// ---------------------------------------------------------------------
 // Channel-level fault behavior.
 // ---------------------------------------------------------------------
 
@@ -673,6 +824,50 @@ TEST(SwitchSimFaults, CrashedPortIsMaskedOutOfTheMatching) {
         buffered += s.voq(i).total_buffered() + s.input_queue(i).size();
     }
     EXPECT_EQ(r.generated, r.delivered + r.dropped + buffered);
+}
+
+// accounting() balances at every slot boundary in every architecture,
+// with and without speedup and a blocking Clos fabric, through a crash
+// (arrivals dropped, buffered packets kept) and a scheduler stall.
+TEST(SwitchSimFaults, AccountingBalancesAtEverySlotBoundary) {
+    for (const SwitchMode mode : {SwitchMode::kVoq, SwitchMode::kFifo,
+                                  SwitchMode::kOutputBuffered}) {
+        for (std::size_t speedup = 1; speedup <= 3; ++speedup) {
+            for (const std::size_t clos_middle : {0UL, 1UL}) {
+                SimConfig c;
+                c.ports = 8;
+                c.slots = 600;
+                c.warmup_slots = 100;
+                c.seed = 29;
+                c.mode = mode;
+                c.speedup = speedup;
+                c.clos_middle = clos_middle;
+                c.clos_group = 4;
+                c.voq_capacity = 4;
+                c.pq_capacity = 8;
+                c.fifo_capacity = 8;
+                c.outbuf_capacity = 4;
+                c.fault_plan.add_host_crash(2, 100, 300)
+                    .add_scheduler_stall(350, 400);
+                SwitchSim s(c, core::make_scheduler("lcf_central_rr"),
+                            std::make_unique<traffic::BernoulliUniform>(0.9));
+                ASSERT_TRUE(s.accounting().balanced());
+                while (s.current_slot() < c.slots) {
+                    s.step();
+                    const Accounting a = s.accounting();
+                    ASSERT_TRUE(a.balanced())
+                        << "mode " << static_cast<int>(mode) << " speedup "
+                        << speedup << " clos " << clos_middle << " slot "
+                        << s.current_slot();
+                    ASSERT_EQ(a.in_flight, 0u);
+                    ASSERT_EQ(a.abandoned, 0u);
+                }
+                const SimResult r = s.result();
+                EXPECT_GT(r.dropped, 0u);
+                EXPECT_GT(r.delivered, 0u);
+            }
+        }
+    }
 }
 
 }  // namespace
