@@ -8,6 +8,7 @@
 //   ./design_explorer --ports 32 --load 0.85
 
 #include <iostream>
+#include <stdexcept>
 
 #include "core/factory.hpp"
 #include "hw/comm_model.hpp"
@@ -43,12 +44,17 @@ int main(int argc, char** argv) {
     config.slots = slots;
     config.warmup_slots = slots / 10;
 
-    const auto central =
-        lcf::sim::run_named("lcf_central_rr", config, "uniform", load);
-    const auto dist = lcf::sim::run_named(
-        "lcf_dist_rr", config, "uniform", load,
-        lcf::sched::SchedulerConfig{.iterations = iters});
-    const auto outbuf = lcf::sim::run_named("outbuf", config, "uniform", load);
+    lcf::sim::SimResult central, dist, outbuf;
+    try {
+        central = lcf::sim::run_named("lcf_central_rr", config, "uniform", load);
+        dist = lcf::sim::run_named(
+            "lcf_dist_rr", config, "uniform", load,
+            lcf::sched::SchedulerConfig{.iterations = iters});
+        outbuf = lcf::sim::run_named("outbuf", config, "uniform", load);
+    } catch (const std::invalid_argument& e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 2;
+    }
 
     const lcf::hw::TimingModel timing;
     const auto gates = lcf::hw::GateModel::total(n);

@@ -89,6 +89,17 @@ int main(int argc, char** argv) {
         .flag("period", "reserve one slot every P cycles", &period)
         .flag("background", "background request density", &background);
     if (!cli.parse(argc, argv)) return cli.exit_code();
+    // The flow [I0 -> T0] needs one port, a reservation needs a period,
+    // and the background density is a probability.
+    const char* bad = ports == 0        ? "--ports must be at least 1"
+                      : period == 0     ? "--period must be at least 1"
+                      : !(background >= 0.0 && background <= 1.0)
+                          ? "--background must be in [0, 1]"
+                          : nullptr;
+    if (bad != nullptr) {
+        std::cerr << "error: " << bad << "\n";
+        return 2;
+    }
 
     std::cout << "Real-time flow [I0 -> T0] on a " << ports
               << "-port switch, background density " << background

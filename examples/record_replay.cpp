@@ -8,6 +8,8 @@
 
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
+#include <string>
 
 #include "core/factory.hpp"
 #include "sim/switch_sim.hpp"
@@ -16,25 +18,15 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-    std::string trace_path = "recorded_trace.csv";
-    std::uint64_t ports = 16;
-    std::uint64_t slots = 20000;
-    double load = 0.85;
-    lcf::util::CliParser cli("Record a workload, replay it across "
-                             "schedulers");
-    cli.flag("trace", "trace CSV path", &trace_path)
-        .flag("ports", "switch radix", &ports)
-        .flag("slots", "slots to record", &slots)
-        .flag("load", "offered load while recording", &load);
-    if (!cli.parse(argc, argv)) return cli.exit_code();
+namespace {
 
+/// Record `config.slots` slots of Bernoulli traffic at `load` to
+/// `trace_path`, then replay the trace through several schedulers and
+/// print one row each. Throws std::invalid_argument for a configuration
+/// the simulator or the traffic model rejects.
+void record_and_replay(const lcf::sim::SimConfig& config, double load,
+                       const std::string& trace_path) {
     using namespace lcf;
-    sim::SimConfig config;
-    config.ports = ports;
-    config.slots = slots;
-    config.warmup_slots = slots / 10;
-
     // 1. Record: run one simulation with a recording decorator around
     //    the Bernoulli generator and save the tape.
     auto recording = std::make_unique<traffic::RecordingTraffic>(
@@ -68,6 +60,34 @@ int main(int argc, char** argv) {
                    std::to_string(r.delivered)});
     }
     t.print(std::cout);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+    std::string trace_path = "recorded_trace.csv";
+    std::uint64_t ports = 16;
+    std::uint64_t slots = 20000;
+    double load = 0.85;
+    lcf::util::CliParser cli("Record a workload, replay it across "
+                             "schedulers");
+    cli.flag("trace", "trace CSV path", &trace_path)
+        .flag("ports", "switch radix", &ports)
+        .flag("slots", "slots to record", &slots)
+        .flag("load", "offered load while recording", &load);
+    if (!cli.parse(argc, argv)) return cli.exit_code();
+
+    lcf::sim::SimConfig config;
+    config.ports = ports;
+    config.slots = slots;
+    config.warmup_slots = slots / 10;
+
+    try {
+        record_and_replay(config, load, trace_path);
+    } catch (const std::invalid_argument& e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 2;
+    }
     std::cout << "\nIdentical arrivals for every row: the delay spread is "
                  "pure scheduling quality, with zero traffic noise.\n";
     return 0;

@@ -1,10 +1,24 @@
 #include "core/lcf_central.hpp"
 
+#include <array>
+#include <bit>
 #include <cassert>
+#include <limits>
 
 namespace lcf::core {
 
 namespace {
+
+constexpr std::size_t kWordBits = util::BitVec::kWordBits;
+
+/// Upper bound on the number of NRQ planes: an NRQ is at most the output
+/// count, a std::size_t.
+constexpr std::size_t kMaxPlanes = std::numeric_limits<std::size_t>::digits;
+
+/// Kernel words per input word: the NRQ planes, the free inputs, the
+/// current column's candidates and the candidates that survive
+/// selection.
+constexpr std::size_t kKernelRows = kMaxPlanes + 3;
 
 /// Clear a scratch vector for reuse; reallocate only when the geometry
 /// changed.
@@ -14,6 +28,11 @@ void reset_scratch(util::BitVec& v, std::size_t bits) {
     } else {
         v = util::BitVec(bits);
     }
+}
+
+/// `i + 1`, wrapping to 0 at `n`.
+constexpr std::size_t next_mod(std::size_t i, std::size_t n) noexcept {
+    return i + 1 == n ? 0 : i + 1;
 }
 
 }  // namespace
@@ -38,16 +57,8 @@ std::string_view LcfCentralScheduler::name() const noexcept {
 void LcfCentralScheduler::reset(std::size_t inputs, std::size_t outputs) {
     rr_input_ = 0;
     rr_output_ = 0;
-    ensure_scratch(inputs, outputs);
-}
-
-void LcfCentralScheduler::ensure_scratch(std::size_t n_in, std::size_t n_out) {
-    n_in_ = n_in;
-    n_out_ = n_out;
-    free_inputs_ = util::BitVec(n_in);
-    cand_ = util::BitVec(n_in);
-    masked_row_ = util::BitVec(n_out);
-    nrq_.assign(n_in, 0);
+    n_in_ = inputs;
+    n_out_ = outputs;
 }
 
 void LcfCentralScheduler::set_diagonal(std::size_t input_offset,
@@ -70,22 +81,6 @@ void LcfCentralScheduler::schedule(const sched::RequestMatrix& requests,
     advance_diagonal();
 }
 
-// Grant a pair and maintain the bookkeeping: the winner leaves the
-// competition (one bit), and requests for the consumed output stop
-// counting as choices (one walk of the candidate word's set bits —
-// cand_ holds exactly the column's still-free requesters).
-void LcfCentralScheduler::grant(std::size_t input, std::size_t col,
-                                sched::Matching& out) {
-    out.match(input, col);
-    free_inputs_.reset(input);
-    for (const std::size_t i : cand_.set_bits()) {
-        if (i != input) {
-            assert(nrq_[i] > 0);
-            --nrq_[i];
-        }
-    }
-}
-
 void LcfCentralScheduler::run_lcf(const sched::RequestMatrix& requests,
                                   const util::BitVec* busy_inputs,
                                   const util::BitVec* busy_outputs,
@@ -94,78 +89,198 @@ void LcfCentralScheduler::run_lcf(const sched::RequestMatrix& requests,
     const std::size_t n_out = requests.outputs();
     out.reset(n_in, n_out);
     if (n_in == 0 || n_out == 0) return;
+    n_in_ = n_in;
+    n_out_ = n_out;
 
-    if (n_in_ != n_in || n_out_ != n_out) ensure_scratch(n_in, n_out);
+    // A compile-time word count lets the compiler unroll every per-word
+    // loop and keep the kernel words on the stack. Only the widths
+    // measured faster than the run-time width get one (see
+    // docs/performance.md); 8 words was not.
+    switch ((n_in + kWordBits - 1) / kWordBits) {
+        case 1:
+            run_planes<1>(requests, busy_inputs, busy_outputs, out);
+            break;
+        case 2:
+            run_planes<2>(requests, busy_inputs, busy_outputs, out);
+            break;
+        case 4:
+            run_planes<4>(requests, busy_inputs, busy_outputs, out);
+            break;
+        default:
+            run_planes<0>(requests, busy_inputs, busy_outputs, out);
+            break;
+    }
+}
 
-    // Everyone not consumed by a precalculated stage competes; NRQ
-    // starts as the (masked) row popcount. The request matrix itself is
-    // never copied — candidate sets come from its lazily maintained
-    // column view, masked by free_inputs_.
-    free_inputs_.fill();
-    if (busy_inputs != nullptr) free_inputs_.subtract(*busy_inputs);
-    for (std::size_t i = 0; i < n_in; ++i) {
-        if (!free_inputs_.test(i)) {
-            nrq_[i] = 0;
-        } else if (busy_outputs != nullptr) {
-            masked_row_.assign_subtract(requests.row(i), *busy_outputs);
-            nrq_[i] = masked_row_.count();
+template <std::size_t kWords>
+void LcfCentralScheduler::run_planes(const sched::RequestMatrix& requests,
+                                     const util::BitVec* busy_inputs,
+                                     const util::BitVec* busy_outputs,
+                                     sched::Matching& out) {
+    const std::size_t n_in = requests.inputs();
+    const std::size_t n_out = requests.outputs();
+    const std::size_t words =
+        kWords != 0 ? kWords : (n_in + kWordBits - 1) / kWordBits;
+
+    std::array<std::uint64_t, kWords * kKernelRows> stack;
+    if constexpr (kWords == 0) words_.resize(words * kKernelRows);
+    std::uint64_t* const plane = kWords != 0 ? stack.data() : words_.data();
+    std::uint64_t* const free = plane + kMaxPlanes * words;
+    std::uint64_t* const cand = free + words;
+    std::uint64_t* const survivors = cand + words;
+
+    // Everyone not consumed by a precalculated stage competes.
+    for (std::size_t k = 0; k < words; ++k) {
+        const std::size_t tail = n_in - k * kWordBits;
+        std::uint64_t w = tail >= kWordBits ? ~std::uint64_t{0}
+                                            : (std::uint64_t{1} << tail) - 1;
+        if (busy_inputs != nullptr) w &= ~busy_inputs->word(k);
+        free[k] = w;
+    }
+    // NRQ planes by bit-sliced addition over the column view: every
+    // competing output adds one to the count of each free input that
+    // requests it, for all inputs at once — no per-row popcount. Columns
+    // go in two at a time: plane 0 is a full adder of its bit and the
+    // two column bits (at most 3, so one sum bit and one carry), and the
+    // carry ripples up the planes above: half the ripples of one column
+    // per step, which docs/performance.md measures.
+    std::size_t planes = 0;
+    std::size_t added = 0;  // columns summed so far: a bound on every NRQ
+    const auto add_columns = [&](const util::BitVec& first,
+                                 const util::BitVec* second) {
+        added += second != nullptr ? 2 : 1;
+        for (; planes < static_cast<std::size_t>(std::bit_width(added));
+             ++planes) {
+            for (std::size_t k = 0; k < words; ++k) plane[planes * words + k] = 0;
+        }
+        std::uint64_t* const carry = cand;
+        for (std::size_t k = 0; k < words; ++k) {
+            const std::uint64_t x = first.word(k) & free[k];
+            const std::uint64_t y =
+                second != nullptr ? second->word(k) & free[k] : 0;
+            const std::uint64_t bits = plane[k];
+            plane[k] = bits ^ x ^ y;
+            carry[k] = (x & y) | (bits & (x ^ y));
+        }
+        for (std::size_t b = 1; b < planes; ++b) {
+            std::uint64_t* const p = plane + b * words;
+            for (std::size_t k = 0; k < words; ++k) {
+                const std::uint64_t bits = p[k];
+                p[k] = bits ^ carry[k];
+                carry[k] &= bits;
+            }
+        }
+    };
+    const util::BitVec* unpaired = nullptr;
+    for (std::size_t j = 0; j < n_out; ++j) {
+        if (busy_outputs != nullptr && busy_outputs->test(j)) continue;
+        if (unpaired == nullptr) {
+            unpaired = &requests.col(j);
         } else {
-            nrq_[i] = requests.row(i).count();
+            add_columns(*unpaired, &requests.col(j));
+            unpaired = nullptr;
         }
     }
+    if (unpaired != nullptr) add_columns(*unpaired, nullptr);
+    // Keep only the planes the largest NRQ needs.
+    const auto zero_plane = [&](std::size_t b) {
+        std::uint64_t any = 0;
+        for (std::size_t k = 0; k < words; ++k) any |= plane[b * words + k];
+        return any == 0;
+    };
+    while (planes > 0 && zero_plane(planes - 1)) --planes;
+
+    // cand := col(col) ∩ free inputs; false when empty.
+    const auto load_candidates = [&](std::size_t col) {
+        const util::BitVec& requesters = requests.col(col);
+        std::uint64_t any = 0;
+        for (std::size_t k = 0; k < words; ++k) {
+            cand[k] = requesters.word(k) & free[k];
+            any |= cand[k];
+        }
+        return any != 0;
+    };
+    const auto is_candidate = [&](std::size_t input) {
+        return ((cand[input / kWordBits] >> (input % kWordBits)) & 1U) != 0;
+    };
+    // The least-choice candidate: bus phase 1 keeps, plane by plane from
+    // the most significant, the candidates with a 0 bit whenever any has
+    // one — the survivors hold the minimum NRQ. Phase 2 takes the first
+    // survivor at or after `start`, wrapping around: the rotating
+    // tie-break chain.
+    const auto least_choice = [&](std::size_t start) {
+        for (std::size_t k = 0; k < words; ++k) survivors[k] = cand[k];
+        for (std::size_t b = planes; b-- > 0;) {
+            const std::uint64_t* const p = plane + b * words;
+            std::uint64_t zeros = 0;
+            for (std::size_t k = 0; k < words; ++k) {
+                zeros |= survivors[k] & ~p[k];
+            }
+            // All ones when no survivor has a 0 here: then all stay.
+            const std::uint64_t stay = std::uint64_t{0} - (zeros == 0);
+            for (std::size_t k = 0; k < words; ++k) {
+                survivors[k] &= ~p[k] | stay;
+            }
+        }
+        // Phase 2. The wrap ends back at the start word, whose bits at or
+        // after `start` are then known to be clear.
+        std::size_t k = start / kWordBits;
+        std::uint64_t w = survivors[k] & (~std::uint64_t{0} << (start % kWordBits));
+        for (std::size_t step = 0; w == 0 && step < words; ++step) {
+            k = next_mod(k, words);
+            w = survivors[k];
+        }
+        assert(w != 0 && "phase 1 keeps at least one candidate");
+        return k * kWordBits + static_cast<std::size_t>(std::countr_zero(w));
+    };
+    // Grant (input, col): the winner leaves the competition, and every
+    // candidate of the consumed output loses one choice — a ripple-borrow
+    // subtract across the planes. The winner's own count goes down with
+    // the rest; it is never read again. Every candidate requests `col`,
+    // so no count underflows.
+    const auto grant = [&](std::size_t input, std::size_t col) {
+        out.match(input, col);
+        free[input / kWordBits] &= ~(std::uint64_t{1} << (input % kWordBits));
+        for (std::size_t b = 0; b < planes; ++b) {
+            std::uint64_t* const p = plane + b * words;
+            for (std::size_t k = 0; k < words; ++k) {
+                const std::uint64_t bits = p[k];
+                p[k] = bits ^ cand[k];
+                cand[k] &= ~bits;
+            }
+        }
+    };
+
+    const std::size_t col0 = rr_output_ % n_out;
+    const std::size_t pos0 = rr_input_ % n_in;
 
     // Diagonal-first variant: the entire round-robin diagonal is
     // admitted before any LCF priority is consulted (§3's b/n upper
     // bound).
     if (options_.variant == RrVariant::kDiagonalFirst) {
-        for (std::size_t res = 0; res < n_out; ++res) {
-            const std::size_t col = (rr_output_ + res) % n_out;
+        for (std::size_t res = 0, col = col0, pos = pos0; res < n_out;
+             ++res, col = next_mod(col, n_out), pos = next_mod(pos, n_in)) {
             if (busy_outputs != nullptr && busy_outputs->test(col)) continue;
-            const std::size_t pos_input = (rr_input_ + res) % n_in;
-            if (free_inputs_.test(pos_input) &&
-                requests.get(pos_input, col)) {
-                cand_.assign_and(requests.col(col), free_inputs_);
-                grant(pos_input, col, out);
+            if (((free[pos / kWordBits] >> (pos % kWordBits)) & 1U) != 0 &&
+                requests.get(pos, col)) {
+                load_candidates(col);
+                grant(pos, col);
             }
         }
     }
 
-    // Allocate resources one after the other (Figure 2 main loop).
-    for (std::size_t res = 0; res < n_out; ++res) {
-        const std::size_t col = (rr_output_ + res) % n_out;
+    // Allocate resources one after the other (Figure 2 main loop). The
+    // round-robin position (pos, col) walks the diagonal.
+    const bool interleaved = options_.variant == RrVariant::kInterleaved;
+    const bool single = options_.variant == RrVariant::kSingle;
+    for (std::size_t res = 0, col = col0, pos = pos0; res < n_out;
+         ++res, col = next_mod(col, n_out), pos = next_mod(pos, n_in)) {
         if (busy_outputs != nullptr && busy_outputs->test(col)) continue;
         if (out.output_matched(col)) continue;  // diagonal-first stage
-
-        cand_.assign_and(requests.col(col), free_inputs_);
-        if (cand_.none()) continue;
-
-        const std::size_t rr_pos_input = (rr_input_ + res) % n_in;
+        if (!load_candidates(col)) continue;
         const bool rr_wins =
-            (options_.variant == RrVariant::kInterleaved ||
-             (options_.variant == RrVariant::kSingle && res == 0)) &&
-            cand_.test(rr_pos_input);
-        std::size_t gnt = rr_pos_input;  // the round-robin position wins
-        if (!rr_wins) {
-            // LCF: grant the requester with the fewest outstanding
-            // requests — the candidate minimizing (NRQ, rotated rank),
-            // where ranks rotate from the round-robin offset: exactly
-            // the reference's rotating tie-break priority chain, in one
-            // walk of the candidate set bits.
-            const std::size_t start = rr_pos_input;
-            std::size_t best_nrq = n_out + 1;
-            std::size_t best_rank = n_in;
-            for (const std::size_t i : cand_.set_bits()) {
-                const std::size_t rank =
-                    i >= start ? i - start : i + n_in - start;
-                const std::size_t v = nrq_[i];
-                if (v < best_nrq || (v == best_nrq && rank < best_rank)) {
-                    gnt = i;
-                    best_nrq = v;
-                    best_rank = rank;
-                }
-            }
-        }
-        grant(gnt, col, out);
+            (interleaved || (single && res == 0)) && is_candidate(pos);
+        grant(rr_wins ? pos : least_choice(pos), col);
     }
 }
 

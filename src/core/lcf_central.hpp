@@ -90,37 +90,37 @@ public:
 private:
     /// Core of Figure 2, shared by schedule() and stage 2 of
     /// schedule_with_precalc(). `busy_*` marks ports consumed by stage 1.
-    ///
-    /// Word-parallel formulation: instead of consumable per-bit request
-    /// copies, a free-inputs bit vector plus the request matrix's lazily
-    /// maintained column view reduce each output's candidate set to one
-    /// masked AND (`col ∩ free_inputs`); the winner is the candidate
-    /// minimizing (NRQ, rotated rank) in one walk of the candidate
-    /// word's set bits — exactly the rotating tie-break chain, with no
-    /// per-input scan and no `%` in the inner loop. NRQ is maintained
-    /// incrementally: each grant decrements the consumed column's
-    /// remaining candidates. Produces bit-identical matchings to
-    /// LcfCentralReferenceScheduler (enforced by the equivalence
-    /// property suite).
+    /// Dispatches run_planes() on the input word count.
     void run_lcf(const sched::RequestMatrix& requests,
                  const util::BitVec* busy_inputs,
                  const util::BitVec* busy_outputs, sched::Matching& out);
+    /// The Figure-6 bus in word-parallel form over `kWords` 64-bit words
+    /// of inputs (0: the word count is known only at run time). NRQ is
+    /// held as bit planes across the inputs: plane b holds bit b of every
+    /// input's remaining-choices count, summed from the column view. For
+    /// each output, the candidates `col ∩ free_inputs` are narrowed from
+    /// the most significant plane down, keeping those with a 0 bit
+    /// whenever any has one (bus phase 1, the wired-AND minimum); the
+    /// winner is the first survivor at or after the rotating tie-break
+    /// start (phase 2). All candidates then lose one choice in one
+    /// ripple-borrow subtract across the planes. The per-output work has
+    /// no per-candidate loop. Bit-identical to
+    /// LcfCentralReferenceScheduler (enforced by the equivalence property
+    /// suite).
+    template <std::size_t kWords>
+    void run_planes(const sched::RequestMatrix& requests,
+                    const util::BitVec* busy_inputs,
+                    const util::BitVec* busy_outputs, sched::Matching& out);
     void advance_diagonal() noexcept;
-    void ensure_scratch(std::size_t n_in, std::size_t n_out);
-    /// Grant (input, col). Precondition: cand_ holds col's candidate set
-    /// (col's requesters ∩ free inputs), winner included.
-    void grant(std::size_t input, std::size_t col, sched::Matching& out);
 
     LcfCentralOptions options_;
     std::size_t rr_input_ = 0;   // I in the pseudocode
     std::size_t rr_output_ = 0;  // J in the pseudocode
-    std::size_t n_in_ = 0;       // geometry the scratch is sized for
+    std::size_t n_in_ = 0;       // geometry of the last reset or schedule
     std::size_t n_out_ = 0;
-    // Scratch reused across slots.
-    util::BitVec free_inputs_;         // inputs still competing
-    util::BitVec cand_;                // current column ∩ free_inputs_
-    util::BitVec masked_row_;          // precalc path: row & ~busy_outputs
-    std::vector<std::size_t> nrq_;     // remaining choices per free input
+    // run_planes<0>() kernel words (NRQ planes, free inputs, candidates);
+    // the fixed-width instantiations keep theirs on the stack.
+    std::vector<std::uint64_t> words_;
     // schedule_with_precalc() stage-1 scratch (sized on first use).
     std::vector<util::BitVec> precalc_cols_;
     std::vector<std::size_t> rot_scratch_;

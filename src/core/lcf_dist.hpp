@@ -21,6 +21,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/bitvec.hpp"
+
 namespace lcf::core {
 
 /// Configuration of the distributed LCF scheduler.
@@ -62,9 +64,10 @@ public:
     /// partial matching `out` (exposed so tests can single-step the
     /// Figure 9 example). Does not advance round-robin state. Returns
     /// the number of iterations actually executed (fewer than the budget
-    /// when the matcher converges early).
+    /// when the matcher converges early). Works in member scratch, so
+    /// one scheduler runs one iterate() at a time, like schedule().
     std::size_t iterate(const sched::RequestMatrix& requests,
-                        std::size_t iterations, sched::Matching& out) const;
+                        std::size_t iterations, sched::Matching& out);
 
     [[nodiscard]] std::size_t last_iterations() const noexcept override {
         return last_iterations_;
@@ -88,6 +91,19 @@ private:
     std::size_t rr_output_ = 0;
     std::size_t cycle_ = 0;  // drives tie-break pointer rotation
     std::size_t last_iterations_ = 0;
+    // iterate() scratch, reused across calls (resized on a geometry
+    // change only).
+    util::BitVec free_inputs_;
+    util::BitVec free_outputs_;
+    util::BitVec cand_;
+    std::vector<std::size_t> nrq_;
+    std::vector<std::size_t> ngt_;
+    std::vector<std::int32_t> grant_to_;
+    std::vector<std::size_t> granted_;  // targets that issued a grant
+    // Per-initiator accept bookkeeping, reset each iteration.
+    std::vector<std::int32_t> accept_of_;
+    std::vector<std::size_t> accept_ngt_;
+    std::vector<std::size_t> accept_rank_;
 };
 
 }  // namespace lcf::core

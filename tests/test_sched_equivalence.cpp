@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,9 +40,13 @@ struct Geometry {
 };
 
 // Square radices below, at, and above one 64-bit word, plus both
-// rectangular orientations.
+// rectangular orientations. With the wide ones they reach every input
+// word count lcf_central's kernel is compiled for (1, 2 and 4 words; 3
+// and 8 words take the run-time-width fallback) and NRQs up to 256
+// (67x256: 9 NRQ planes).
 const Geometry kGeometries[] = {
-    {16, 16}, {13, 13}, {67, 67}, {12, 20}, {20, 12}};
+    {16, 16},   {13, 13},   {67, 67},  {12, 20},  {20, 12},
+    {256, 256}, {512, 512}, {130, 130}, {67, 256}, {256, 67}};
 
 // Densities cycled per scheduling cycle; the 0.0 and 1.0 extremes pin
 // the empty- and full-matrix edge cases.
@@ -60,6 +65,12 @@ sched::RequestMatrix random_requests(util::Xoshiro256& rng,
 }
 
 constexpr std::size_t kCycles = 250;
+
+// Fewer cycles where a port count reaches 256: the per-bit twins cost
+// O(n²) per cycle or more.
+std::size_t cycles_for(const Geometry& g) {
+    return std::max(g.inputs, g.outputs) >= 256 ? 40 : kCycles;
+}
 
 // The per-bit twin of `name`: a test-only oracle for the Figure-12
 // baselines, the registered `*_reference` scheduler for the lcf_* ones.
@@ -88,7 +99,7 @@ TEST_P(SchedEquivalence, BitIdenticalToReferenceOverRandomCycles) {
 
         util::Xoshiro256 rng(g.inputs * 1009 + g.outputs);
         sched::Matching m_opt, m_ref;
-        for (std::size_t cycle = 0; cycle < kCycles; ++cycle) {
+        for (std::size_t cycle = 0; cycle < cycles_for(g); ++cycle) {
             const double density =
                 kDensities[cycle % (sizeof(kDensities) / sizeof(double))];
             const sched::RequestMatrix r = random_requests(rng, g, density);
@@ -105,7 +116,7 @@ TEST_P(SchedEquivalence, BitIdenticalToReferenceOverRandomCycles) {
             checker.check_iterations(opt->last_iterations());
         }
         EXPECT_EQ(checker.violation_count(), 0u);
-        EXPECT_EQ(checker.cycles_checked(), kCycles);
+        EXPECT_EQ(checker.cycles_checked(), cycles_for(g));
     }
 }
 
@@ -150,6 +161,53 @@ TEST(SchedEquivalence, ReferenceNamesRoundTripThroughFactory) {
     }
 }
 
+// One RequestMatrix kept current through set() by a VOQ arrival and
+// departure process, the way SwitchSim drives it, instead of a fresh
+// random matrix per cycle: consecutive matrices differ in a few bits, and
+// the column view is never rebuilt. Every lcf_central variant and its
+// twin schedule the same matrix each slot.
+TEST(SchedEquivalence, PersistentMatrixReplay) {
+    constexpr std::size_t kPorts = 256;
+    constexpr std::size_t kSlots = 1000;
+    const sched::SchedulerConfig config{.iterations = 4, .seed = 7};
+    for (const double load : {0.5, 0.99}) {
+        std::vector<std::unique_ptr<sched::Scheduler>> opt, ref;
+        for (const std::string& name : names_with_twin()) {
+            if (!name.starts_with("lcf_central")) continue;
+            opt.push_back(core::make_scheduler(name, config));
+            ref.push_back(make_twin(name, config));
+            opt.back()->reset(kPorts, kPorts);
+            ref.back()->reset(kPorts, kPorts);
+        }
+        sched::RequestMatrix requests(kPorts);
+        requests.sync_columns();
+        std::vector<std::uint32_t> queued(kPorts * kPorts, 0);
+        util::Xoshiro256 rng(static_cast<std::uint64_t>(load * 1000));
+        sched::Matching m_opt, m_ref, departures;
+        for (std::size_t slot = 0; slot < kSlots; ++slot) {
+            // Arrivals: Bernoulli(load) per input, uniform destination.
+            for (std::size_t i = 0; i < kPorts; ++i) {
+                if (!rng.next_bool(load)) continue;
+                const std::size_t j = rng.next_below(kPorts);
+                if (queued[i * kPorts + j]++ == 0) requests.set(i, j);
+            }
+            for (std::size_t s = 0; s < opt.size(); ++s) {
+                opt[s]->schedule(requests, m_opt);
+                ref[s]->schedule(requests, m_ref);
+                ASSERT_EQ(m_opt, m_ref)
+                    << opt[s]->name() << " diverges from its reference at slot "
+                    << slot << " (load " << load << ")";
+                if (s == 0) departures = m_opt;
+            }
+            // Departures follow the first scheduler's matching.
+            for (const std::size_t j : departures.matched_outputs().set_bits()) {
+                const auto i = static_cast<std::size_t>(departures.input_of(j));
+                if (--queued[i * kPorts + j] == 0) requests.set(i, j, false);
+            }
+        }
+    }
+}
+
 // The two-stage precalculated path (§4.3) must also match: stage-1
 // integrity filtering and the stage-2 LCF pass over the leftovers,
 // including multicast fan-outs and deliberately conflicting claims.
@@ -157,34 +215,45 @@ class PrecalcEquivalence : public ::testing::TestWithParam<core::RrVariant> {};
 
 TEST_P(PrecalcEquivalence, PrecalcPathMatchesReference) {
     const core::LcfCentralOptions options{.variant = GetParam()};
-    constexpr std::size_t kPorts = 16;
-    core::LcfCentralScheduler opt(options);
-    core::LcfCentralReferenceScheduler ref(options);
-    opt.reset(kPorts, kPorts);
-    ref.reset(kPorts, kPorts);
+    // One, two (67) and four (256) input words in lcf_central's kernel.
+    for (const std::size_t ports :
+         {std::size_t{16}, std::size_t{67}, std::size_t{256}}) {
+        core::LcfCentralScheduler opt(options);
+        core::LcfCentralReferenceScheduler ref(options);
+        opt.reset(ports, ports);
+        ref.reset(ports, ports);
+        // About 1.3 claims per input at every port count, so stage 2
+        // still has ports left to schedule.
+        const double claim = 0.08 * 16.0 / static_cast<double>(ports);
 
-    util::Xoshiro256 rng(4242);
-    core::MulticastResult r_opt, r_ref;
-    for (std::size_t cycle = 0; cycle < kCycles; ++cycle) {
-        const double density =
-            kDensities[cycle % (sizeof(kDensities) / sizeof(double))];
-        const sched::RequestMatrix requests =
-            random_requests(rng, {kPorts, kPorts}, density);
-        core::PrecalcSchedule precalc(kPorts);
-        for (std::size_t i = 0; i < kPorts; ++i) {
-            for (std::size_t j = 0; j < kPorts; ++j) {
-                // Sparse claims; multiple claims per row exercise
-                // multicast, claims on one target from several inputs
-                // exercise the integrity check's drop path.
-                if (rng.next_bool(0.08)) precalc.claim(i, j);
+        util::Xoshiro256 rng(4242);
+        core::MulticastResult r_opt, r_ref;
+        for (std::size_t cycle = 0; cycle < cycles_for({ports, ports});
+             ++cycle) {
+            const double density =
+                kDensities[cycle % (sizeof(kDensities) / sizeof(double))];
+            const sched::RequestMatrix requests =
+                random_requests(rng, {ports, ports}, density);
+            core::PrecalcSchedule precalc(ports);
+            for (std::size_t i = 0; i < ports; ++i) {
+                for (std::size_t j = 0; j < ports; ++j) {
+                    // Sparse claims; multiple claims per row exercise
+                    // multicast, claims on one target from several inputs
+                    // exercise the integrity check's drop path.
+                    if (rng.next_bool(claim)) precalc.claim(i, j);
+                }
             }
+            opt.schedule_with_precalc(requests, precalc, r_opt);
+            ref.schedule_with_precalc(requests, precalc, r_ref);
+            ASSERT_EQ(r_opt.fanout, r_ref.fanout)
+                << ports << " ports, cycle " << cycle;
+            ASSERT_EQ(r_opt.unicast, r_ref.unicast)
+                << ports << " ports, cycle " << cycle;
+            ASSERT_EQ(r_opt.dropped, r_ref.dropped)
+                << ports << " ports, cycle " << cycle;
+            ASSERT_TRUE(r_opt.consistent())
+                << ports << " ports, cycle " << cycle;
         }
-        opt.schedule_with_precalc(requests, precalc, r_opt);
-        ref.schedule_with_precalc(requests, precalc, r_ref);
-        ASSERT_EQ(r_opt.fanout, r_ref.fanout) << "cycle " << cycle;
-        ASSERT_EQ(r_opt.unicast, r_ref.unicast) << "cycle " << cycle;
-        ASSERT_EQ(r_opt.dropped, r_ref.dropped) << "cycle " << cycle;
-        ASSERT_TRUE(r_opt.consistent()) << "cycle " << cycle;
     }
 }
 

@@ -12,9 +12,11 @@ Runs the Release-built benchmark binary over every registered benchmark
 baseline document with:
 
   - "results": human-oriented before/after rows — for sched_speed the
-    optimized-vs-reference-twin pairs, for sim_throughput the
-    slots/sec of each grid point paired against a pre-change run given
-    via --before (the numbers quoted in docs/performance.md);
+    optimized-vs-reference-twin pairs, plus each BM_LcfCentralReplay row
+    paired against a pre-change run given via --before; for
+    sim_throughput the slots/sec of each grid point paired against a
+    pre-change run given via --before (the numbers quoted in
+    docs/performance.md);
   - "raw": the flat {benchmark name: cpu ns} map tools/compare_bench.py
     checks CI runs against;
   - "build_type" (read from the build dir's CMakeCache.txt — NOT the
@@ -45,7 +47,10 @@ BENCHES = {
         "binary": "bench_sched_speed",
         "output": "BENCH_sched_speed.json",
         "workload": "random request matrices, density 0.35, "
-                    "iterations 4 (iterative schedulers)",
+                    "iterations 4 (iterative schedulers); "
+                    "BM_LcfCentralReplay/<n>/<load%>: the request "
+                    "matrices of a uniform-traffic SwitchSim under "
+                    "lcf_central, replayed through one matrix",
     },
     "sim_throughput": {
         "binary": "bench_sim_throughput",
@@ -103,6 +108,24 @@ def slots_per_sec(doc):
     return out
 
 
+def replay_results(raw, before_raw):
+    """BM_LcfCentralReplay rows, each against the same row of --before."""
+    results = []
+    for name in sorted(raw):
+        if not name.startswith("BM_LcfCentralReplay/"):
+            continue
+        _, n, load = name.split("/")
+        row = {"replay": name, "n": int(n), "load": int(load) / 100,
+               "cpu_ns_after": raw[name]}
+        before = before_raw.get(name)
+        if before is not None:
+            row["cpu_ns_before"] = before
+            row["speedup"] = (round(before / raw[name], 2)
+                              if raw[name] > 0 else None)
+        results.append(row)
+    return results
+
+
 def sched_speed_results(raw):
     results = []
     for sched, after_bm, before_bm in SCHED_SPEED_PAIRS:
@@ -152,8 +175,9 @@ def main():
                         help="reuse this google-benchmark JSON instead "
                              "of running the binary")
     parser.add_argument("--before", default=None,
-                        help="sim_throughput only: pre-change "
-                             "google-benchmark JSON whose slots/sec "
+                        help="pre-change google-benchmark JSON: its "
+                             "slots/sec (sim_throughput) or its "
+                             "BM_LcfCentralReplay cpu ns (sched_speed) "
                              "becomes the before side of each row")
     args = parser.parse_args()
 
@@ -182,13 +206,14 @@ def main():
             os.unlink(tmp_path)
 
     raw = raw_cpu_ns(doc)
+    before_doc = None
+    if args.before:
+        with open(args.before) as f:
+            before_doc = json.load(f)
     if args.bench == "sched_speed":
-        results = sched_speed_results(raw)
+        results = sched_speed_results(raw) + replay_results(
+            raw, raw_cpu_ns(before_doc) if before_doc else {})
     else:
-        before_doc = None
-        if args.before:
-            with open(args.before) as f:
-                before_doc = json.load(f)
         results = sim_throughput_results(doc, before_doc)
 
     baseline = {
@@ -208,7 +233,13 @@ def main():
           f"(build_type={baseline['build_type']}, "
           f"git_rev={baseline['git_rev']})")
     for row in results:
-        if args.bench == "sched_speed":
+        if "replay" in row:
+            before = row.get("cpu_ns_before")
+            suffix = (f"  (before {before:>10.1f}, {row['speedup']}x)"
+                      if before is not None else "")
+            print(f"  {row['replay']:30} {row['cpu_ns_after']:>12.1f} ns"
+                  f"{suffix}")
+        elif args.bench == "sched_speed":
             print(f"  {row['scheduler']:16} n={row['n']:<4} "
                   f"{row['cpu_ns_before']:>12.1f} -> "
                   f"{row['cpu_ns_after']:>10.1f} ns ({row['speedup']}x)")
