@@ -4,9 +4,9 @@
 // sequential central scheduler vs O(log n)-iteration distributed one).
 //
 // The BM_*Reference benchmarks run the pre-optimization per-bit LCF
-// transcriptions kept behind the factory's `*_reference` names, so one
-// run of this binary yields matched before/after numbers for the
-// word-parallel rewrite (see docs/performance.md).
+// transcriptions (oracle::make_twin, from the test-only lcf_oracles
+// library), so one run of this binary yields matched before/after
+// numbers for the word-parallel rewrite (see docs/performance.md).
 //
 // BM_LcfCentralReplay/<n>/<load%> replays the request matrices a
 // SwitchSim under lcf_central really schedules (uniform Bernoulli
@@ -31,6 +31,7 @@
 
 #include "core/factory.hpp"
 #include "hw/rtl_central.hpp"
+#include "oracles/twin.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/switch_sim.hpp"
 #include "traffic/traffic.hpp"
@@ -61,10 +62,15 @@ std::vector<RequestMatrix> make_inputs(std::size_t n, double density,
     return inputs;
 }
 
-void run_scheduler(benchmark::State& state, const std::string& name) {
+constexpr bool kTwin = true;
+
+// Times the registered scheduler `name`, or its per-bit twin.
+void run_scheduler(benchmark::State& state, const std::string& name,
+                   bool twin = false) {
     const auto n = static_cast<std::size_t>(state.range(0));
-    auto s = lcf::core::make_scheduler(
-        name, lcf::sched::SchedulerConfig{.iterations = 4, .seed = 2});
+    const lcf::sched::SchedulerConfig config{.iterations = 4, .seed = 2};
+    auto s = twin ? lcf::oracle::make_twin(name, config)
+                  : lcf::core::make_scheduler(name, config);
     s->reset(n, n);
     const auto inputs = make_inputs(n, 0.35, 32);
     Matching m;
@@ -88,16 +94,16 @@ void BM_LcfDistRr(benchmark::State& state) {
     run_scheduler(state, "lcf_dist_rr");
 }
 void BM_LcfCentralReference(benchmark::State& state) {
-    run_scheduler(state, "lcf_central_reference");
+    run_scheduler(state, "lcf_central", kTwin);
 }
 void BM_LcfCentralRrReference(benchmark::State& state) {
-    run_scheduler(state, "lcf_central_rr_reference");
+    run_scheduler(state, "lcf_central_rr", kTwin);
 }
 void BM_LcfDistReference(benchmark::State& state) {
-    run_scheduler(state, "lcf_dist_reference");
+    run_scheduler(state, "lcf_dist", kTwin);
 }
 void BM_LcfDistRrReference(benchmark::State& state) {
-    run_scheduler(state, "lcf_dist_rr_reference");
+    run_scheduler(state, "lcf_dist_rr", kTwin);
 }
 void BM_Pim(benchmark::State& state) { run_scheduler(state, "pim"); }
 void BM_Islip(benchmark::State& state) { run_scheduler(state, "islip"); }

@@ -84,6 +84,10 @@ int main(int argc, char** argv) {
         .flag("paranoid", "validate scheduler invariants every cycle",
               &paranoid);
     if (!cli.parse(argc, argv)) return cli.exit_code();
+    if (cycles == 0) {
+        std::cerr << "error: --cycles must be positive\n";
+        return 2;
+    }
 
     // The Figure 3 request pattern, held persistent: every VOQ that is
     // non-empty stays non-empty (saturated flows).

@@ -6,10 +6,11 @@
 //   1. the ParanoidChecker invariants (valid partial permutation,
 //      request-backed grants, NRQ/NGT consistency, §3 diagonal-fairness
 //      window for the rotating variants, iteration budgets),
-//   2. schedulers with a `*_reference` twin (the per-bit seed
-//      transcriptions) stay bit-identical to it — matching AND
-//      last_iterations() — on adversarial request sequences, not just
-//      the random traffic the equivalence suite draws.
+//   2. schedulers with a per-bit twin (oracle::make_twin: the lcf_*
+//      `*_reference` transcriptions and the Figure-12 baseline oracles)
+//      stay bit-identical to it — matching AND last_iterations() — on
+//      adversarial request sequences, not just the random traffic the
+//      equivalence suite draws.
 //
 // Seed corpus: fuzz/corpus/scheduler (tools/make_fuzz_corpus.py).
 
@@ -21,6 +22,7 @@
 #include "core/factory.hpp"
 #include "fuzz_common.hpp"
 #include "obs/paranoid_checker.hpp"
+#include "oracles/twin.hpp"
 #include "sched/matching.hpp"
 #include "sched/request_matrix.hpp"
 #include "sched/scheduler.hpp"
@@ -69,12 +71,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     const auto scheduler = entry.make(config);
     scheduler->reset(ports, ports);
 
-    // Differential twin, when one is registered (the lcf_* families).
-    std::unique_ptr<sched::Scheduler> reference;
-    if (entry.make_reference != nullptr) {
-        reference = entry.make_reference(config);
-        reference->reset(ports, ports);
-    }
+    // Differential twin, when the scheduler has one.
+    const auto reference = lcf::oracle::make_twin(entry.name, config);
+    if (reference) reference->reset(ports, ports);
 
     lcf::obs::ParanoidChecker checker(
         lcf::obs::ParanoidChecker::options_for(*scheduler));

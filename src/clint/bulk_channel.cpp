@@ -25,6 +25,9 @@ BulkChannelSim::BulkChannelSim(
     if (config_.hosts == 0 || config_.hosts > kMaxHosts) {
         throw std::invalid_argument("bulk channel supports 1..16 hosts");
     }
+    if (config_.warmup_slots >= config_.slots) {
+        throw std::invalid_argument("warmup_slots must be below slots");
+    }
     if (traffic_ == nullptr) {
         throw std::invalid_argument("traffic generator required");
     }

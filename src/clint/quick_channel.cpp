@@ -14,6 +14,9 @@ QuickChannelSim::QuickChannelSim(
     if (config_.hosts == 0) {
         throw std::invalid_argument("hosts must be positive");
     }
+    if (config_.warmup_slots >= config_.slots) {
+        throw std::invalid_argument("warmup_slots must be below slots");
+    }
     if (traffic_ == nullptr) {
         throw std::invalid_argument("traffic generator required");
     }

@@ -4,7 +4,6 @@
 
 #include "core/lcf_central.hpp"
 #include "core/lcf_dist.hpp"
-#include "core/lcf_reference.hpp"
 #include "sched/fifo_rr.hpp"
 #include "sched/ilqf.hpp"
 #include "sched/islip.hpp"
@@ -28,54 +27,41 @@ std::unique_ptr<sched::Scheduler> configured(
     return std::make_unique<S>(config);
 }
 
-template <typename S, RrVariant kVariant>
+template <RrVariant kVariant>
 std::unique_ptr<sched::Scheduler> central(const sched::SchedulerConfig&) {
-    return std::make_unique<S>(LcfCentralOptions{.variant = kVariant});
+    return std::make_unique<LcfCentralScheduler>(
+        LcfCentralOptions{.variant = kVariant});
 }
 
-template <typename S, bool kRoundRobin>
+template <bool kRoundRobin>
 std::unique_ptr<sched::Scheduler> dist(const sched::SchedulerConfig& config) {
-    return std::make_unique<S>(LcfDistOptions{
+    return std::make_unique<LcfDistScheduler>(LcfDistOptions{
         .iterations = config.iterations, .round_robin = kRoundRobin});
 }
 
-using Central = LcfCentralScheduler;
-using CentralRef = LcfCentralReferenceScheduler;
-
 // The single list of schedulers. Row order is scheduler_names() order,
 // which fuzz_scheduler indexes into: reordering rows re-targets every
-// committed corpus input. The third column builds the per-bit
-// `<name>_reference` twin kept as a differential oracle and perf
-// "before" line; twins are not rows, so sweeps never enumerate them.
+// committed corpus input.
 constexpr SchedulerEntry kRegistry[] = {
-    {"lcf_central", central<Central, RrVariant::kNone>,
-     central<CentralRef, RrVariant::kNone>},
-    {"lcf_central_rr", central<Central, RrVariant::kInterleaved>,
-     central<CentralRef, RrVariant::kInterleaved>},
-    {"lcf_dist_rr", dist<LcfDistScheduler, true>,
-     dist<LcfDistReferenceScheduler, true>},
-    {"lcf_dist", dist<LcfDistScheduler, false>,
-     dist<LcfDistReferenceScheduler, false>},
-    {"pim", configured<sched::PimScheduler>, nullptr},
-    {"islip", configured<sched::IslipScheduler>, nullptr},
-    {"wfront", plain<sched::WavefrontScheduler>, nullptr},
-    {"fifo", plain<sched::FifoRrScheduler>, nullptr},
-    {"maxsize", plain<sched::MaxSizeScheduler>, nullptr},
-    {"lcf_central_rr_single", central<Central, RrVariant::kSingle>,
-     central<CentralRef, RrVariant::kSingle>},
-    {"lcf_central_rr_first", central<Central, RrVariant::kDiagonalFirst>,
-     central<CentralRef, RrVariant::kDiagonalFirst>},
-    {"ilqf", configured<sched::IlqfScheduler>, nullptr},
-    {"rrm", configured<sched::RrmScheduler>, nullptr},
+    {"lcf_central", central<RrVariant::kNone>},
+    {"lcf_central_rr", central<RrVariant::kInterleaved>},
+    {"lcf_dist_rr", dist<true>},
+    {"lcf_dist", dist<false>},
+    {"pim", configured<sched::PimScheduler>},
+    {"islip", configured<sched::IslipScheduler>},
+    {"wfront", plain<sched::WavefrontScheduler>},
+    {"fifo", plain<sched::FifoRrScheduler>},
+    {"maxsize", plain<sched::MaxSizeScheduler>},
+    {"lcf_central_rr_single", central<RrVariant::kSingle>},
+    {"lcf_central_rr_first", central<RrVariant::kDiagonalFirst>},
+    {"ilqf", configured<sched::IlqfScheduler>},
+    {"rrm", configured<sched::RrmScheduler>},
 };
 
-/// The constructor registered for `name` (a row name, or a row name plus
-/// kReferenceSuffix for its twin), or null.
+/// The constructor registered for `name`, or null.
 SchedulerEntry::Make find_maker(std::string_view name) {
-    const bool twin = name.ends_with(kReferenceSuffix);
-    if (twin) name.remove_suffix(kReferenceSuffix.size());
     for (const auto& entry : kRegistry) {
-        if (entry.name == name) return twin ? entry.make_reference : entry.make;
+        if (entry.name == name) return entry.make;
     }
     return nullptr;
 }

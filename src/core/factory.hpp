@@ -14,37 +14,27 @@
 
 namespace lcf::core {
 
-/// Suffix naming a scheduler's per-bit twin: "lcf_dist" has the twin
-/// "lcf_dist_reference".
-inline constexpr std::string_view kReferenceSuffix = "_reference";
-
-/// One registered scheduler. `make_reference` builds its
-/// `<name>_reference` twin — the per-bit transcription of the paper's
-/// pseudocode, bit-identical in output to the word-parallel scheduler
-/// (the equivalence property suite enforces this) — and is null when
-/// the scheduler has none.
+/// One registered scheduler.
 struct SchedulerEntry {
     using Make =
         std::unique_ptr<sched::Scheduler> (*)(const sched::SchedulerConfig&);
     std::string_view name;
     Make make;
-    Make make_reference;
 };
 
-/// Every registered scheduler, in scheduler_names() order. Twins are
-/// reached through their base row, never listed as rows of their own.
+/// Every registered scheduler, in scheduler_names() order.
 std::span<const SchedulerEntry> scheduler_registry();
 
-/// Construct a registered scheduler by name, or its twin by
-/// "<name>_reference". Throws std::invalid_argument for unknown names.
+/// Construct a registered scheduler by name. Throws
+/// std::invalid_argument for unknown names.
 std::unique_ptr<sched::Scheduler> make_scheduler(
     std::string_view name, const sched::SchedulerConfig& config = {});
 
 /// True when `name` is accepted by make_scheduler().
 bool is_scheduler_name(std::string_view name);
 
-/// The registry's names, twins excluded: the Figure 12 legend order
-/// (without "outbuf", which is a switch mode), then the extensions.
+/// The registry's names: the Figure 12 legend order (without "outbuf",
+/// which is a switch mode), then the extensions.
 const std::vector<std::string>& scheduler_names();
 
 /// The nine Figure 12 configurations in legend order, "outbuf" included.

@@ -11,7 +11,7 @@ SimResult run_named(std::string_view config_name, const SimConfig& base,
                     std::string_view traffic_name, double load,
                     const sched::SchedulerConfig& sched_config) {
     if (config_name != "outbuf" && !core::is_scheduler_name(config_name)) {
-        std::string message = "unknown configuration name: " +
+        std::string message = "unknown scheduler name: " +
                               std::string(config_name) + " (valid names: outbuf";
         for (const auto& valid : core::scheduler_names()) {
             message += " " + valid;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace lcf::sim {
@@ -108,11 +109,12 @@ SwitchSim::SwitchSim(const SimConfig& config,
     }
 }
 
-void SwitchSim::observe_schedule(const sched::RequestMatrix& requests) {
+void SwitchSim::observe_schedule(const sched::RequestMatrix& requests,
+                                 std::size_t request_bits) {
     // Observe the matching as produced by the scheduler, before the
     // fabric may reject connections: the invariants being checked (and
     // the starvation ages) are properties of the scheduler itself.
-    counters_.observe_cycle(requests.total(), matching_.size());
+    counters_.observe_cycle(request_bits, matching_.size());
     if (trace_) {
         trace_->record(counters_.cycles - 1, requests, matching_);
     }
@@ -202,12 +204,13 @@ void SwitchSim::step_voq_mode() {
         // requests_ mirrors VOQ occupancy already; only crashed ports
         // need a masked copy.
         const sched::RequestMatrix& requests = scheduler_requests();
+        // Non-empty VOQs as the scheduler sees them (masked rows under
+        // faults), for the counters and the "choices" diagnostic.
+        const std::size_t nonempty =
+            injector_ ? requests.total() : nonempty_voqs_;
 
         if (phase == 0 && slot_ >= config_.warmup_slots) {
-            // "Choices" diagnostic: mean non-empty VOQs per input, as
-            // the scheduler sees them (masked rows under faults).
-            const std::size_t nonempty =
-                injector_ ? requests.total() : nonempty_voqs_;
+            // "Choices" diagnostic: mean non-empty VOQs per input.
             choices_accum_ += static_cast<double>(nonempty) /
                               static_cast<double>(config_.ports);
             ++choices_slots_;
@@ -222,7 +225,7 @@ void SwitchSim::step_voq_mode() {
 
         scheduler_->schedule(requests, matching_);
         assert(matching_.valid_for(requests));
-        observe_schedule(requests);
+        observe_schedule(requests, nonempty);
         apply_fabric();
 
         // Transfer the head-of-VOQ packet of every matched pair,
@@ -298,16 +301,18 @@ void SwitchSim::step_fifo_mode() {
     // Head-of-line requests: each input requests exactly the destination
     // of its FIFO head.
     requests_.clear();
+    std::size_t head_of_line = 0;
     for (std::size_t i = 0; i < config_.ports; ++i) {
         if (!input_queues_[i].empty()) {
             requests_.set(i, input_queues_[i].front().destination);
+            ++head_of_line;
         }
     }
     const sched::RequestMatrix& requests = scheduler_requests();
 
     scheduler_->schedule(requests, matching_);
     assert(matching_.valid_for(requests));
-    observe_schedule(requests);
+    observe_schedule(requests, injector_ ? requests.total() : head_of_line);
     apply_fabric();
 
     for (const std::size_t j : matching_.matched_outputs().set_bits()) {
@@ -347,6 +352,10 @@ void SwitchSim::step() {
             break;
     }
     ++slot_;
+    if (config_.paranoid && !accounting().balanced()) {
+        throw std::logic_error("packet conservation violated at slot " +
+                               std::to_string(slot_));
+    }
 }
 
 SimResult SwitchSim::run() {

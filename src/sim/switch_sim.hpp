@@ -73,7 +73,8 @@ struct SimConfig {
     std::size_t clos_group = 4;  ///< k: ports per first/third-stage switch
 
     /// Validate cycle-level scheduler invariants every scheduling cycle
-    /// (obs::ParanoidChecker). A violation throws std::logic_error from
+    /// (obs::ParanoidChecker) and packet conservation (accounting()) at
+    /// every slot boundary. A violation throws std::logic_error from
     /// step(). Checks are configured from the scheduler's traits: a
     /// scheduler with a rotating-diagonal guarantee additionally gets the
     /// §3 fairness check (granted within n² cycles under a continuously
@@ -180,9 +181,10 @@ private:
     /// unmatching any connection the fabric cannot carry.
     void apply_fabric();
     /// Feed the scheduler's raw matching (before the fabric may drop
-    /// connections) and the requests it saw to the counters, trace, and
-    /// paranoid checker.
-    void observe_schedule(const sched::RequestMatrix& requests);
+    /// connections) and the requests it saw, `request_bits` of them set,
+    /// to the counters, trace, and paranoid checker.
+    void observe_schedule(const sched::RequestMatrix& requests,
+                          std::size_t request_bits);
 
     SimConfig config_;
     std::unique_ptr<sched::Scheduler> scheduler_;

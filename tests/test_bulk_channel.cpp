@@ -313,6 +313,22 @@ TEST(BulkChannel, RejectsBadConfiguration) {
     EXPECT_THROW(BulkChannelSim(c, nullptr), std::invalid_argument);
 }
 
+// A run with no slot after warm-up would report a row of zeros.
+TEST(BulkChannel, RejectsWarmupNotBelowSlots) {
+    BulkChannelConfig c;
+    c.hosts = 4;
+    const auto build = [&c](std::uint64_t slots, std::uint64_t warmup) {
+        c.slots = slots;
+        c.warmup_slots = warmup;
+        return BulkChannelSim(
+            c, std::make_unique<traffic::BernoulliUniform>(0.1));
+    };
+    EXPECT_THROW(build(0, 0), std::invalid_argument);
+    EXPECT_THROW(build(100, 100), std::invalid_argument);
+    EXPECT_THROW(build(100, 200), std::invalid_argument);
+    EXPECT_NO_THROW(build(100, 99));
+}
+
 TEST(BulkChannel, EnqueueMulticastRejectsUnknownHosts) {
     BulkChannelSim sim(small_config(),
                        std::make_unique<traffic::BernoulliUniform>(0.1));

@@ -826,10 +826,11 @@ TEST(SwitchSimFaults, CrashedPortIsMaskedOutOfTheMatching) {
     EXPECT_EQ(r.generated, r.delivered + r.dropped + buffered);
 }
 
-// accounting() balances at every slot boundary in every architecture,
-// with and without speedup and a blocking Clos fabric, through a crash
-// (arrivals dropped, buffered packets kept) and a scheduler stall.
-TEST(SwitchSimFaults, AccountingBalancesAtEverySlotBoundary) {
+// Every architecture, with and without speedup and a blocking Clos
+// fabric, through a crash (arrivals dropped, buffered packets kept) and
+// a scheduler stall: `body` gets one simulator per configuration.
+template <typename Body>
+void for_each_faulted_switch(bool paranoid, Body body) {
     for (const SwitchMode mode : {SwitchMode::kVoq, SwitchMode::kFifo,
                                   SwitchMode::kOutputBuffered}) {
         for (std::size_t speedup = 1; speedup <= 3; ++speedup) {
@@ -847,27 +848,46 @@ TEST(SwitchSimFaults, AccountingBalancesAtEverySlotBoundary) {
                 c.pq_capacity = 8;
                 c.fifo_capacity = 8;
                 c.outbuf_capacity = 4;
+                c.paranoid = paranoid;
                 c.fault_plan.add_host_crash(2, 100, 300)
                     .add_scheduler_stall(350, 400);
                 SwitchSim s(c, core::make_scheduler("lcf_central_rr"),
                             std::make_unique<traffic::BernoulliUniform>(0.9));
-                ASSERT_TRUE(s.accounting().balanced());
-                while (s.current_slot() < c.slots) {
-                    s.step();
-                    const Accounting a = s.accounting();
-                    ASSERT_TRUE(a.balanced())
-                        << "mode " << static_cast<int>(mode) << " speedup "
-                        << speedup << " clos " << clos_middle << " slot "
-                        << s.current_slot();
-                    ASSERT_EQ(a.in_flight, 0u);
-                    ASSERT_EQ(a.abandoned, 0u);
-                }
+                SCOPED_TRACE(::testing::Message()
+                             << "mode " << static_cast<int>(mode)
+                             << " speedup " << speedup << " clos "
+                             << clos_middle);
+                body(s);
                 const SimResult r = s.result();
                 EXPECT_GT(r.dropped, 0u);
                 EXPECT_GT(r.delivered, 0u);
             }
         }
     }
+}
+
+// accounting() balances at every slot boundary.
+TEST(SwitchSimFaults, AccountingBalancesAtEverySlotBoundary) {
+    for_each_faulted_switch(false, [](SwitchSim& s) {
+        ASSERT_TRUE(s.accounting().balanced());
+        while (s.current_slot() < s.config().slots) {
+            s.step();
+            const Accounting a = s.accounting();
+            ASSERT_TRUE(a.balanced()) << "slot " << s.current_slot();
+            ASSERT_EQ(a.in_flight, 0u);
+            ASSERT_EQ(a.abandoned, 0u);
+        }
+    });
+}
+
+// A paranoid run checks the same identity itself: step() throws
+// std::logic_error on the first slot that does not balance.
+TEST(SwitchSimFaults, ParanoidRunChecksConservationEverySlot) {
+    for_each_faulted_switch(true, [](SwitchSim& s) {
+        EXPECT_NO_THROW(s.run());
+        EXPECT_EQ(s.current_slot(), s.config().slots);
+        EXPECT_EQ(s.result().sched.paranoid_violations, 0u);
+    });
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "obs/counters.hpp"
 #include "obs/paranoid_checker.hpp"
 #include "obs/sched_trace.hpp"
+#include "oracles/twin.hpp"
 #include "sched/matching.hpp"
 #include "sched/request_matrix.hpp"
 
@@ -290,9 +291,8 @@ TEST(ParanoidChecker, OptionsForKnowsSchedulerFamilies) {
     // baselines do not.
     std::size_t fair = 0;
     for (const auto& entry : core::scheduler_registry()) {
-        for (const auto make : {entry.make, entry.make_reference}) {
-            if (make == nullptr) continue;
-            const auto s = make({});
+        for (const auto& s : {entry.make({}), oracle::make_twin(entry.name)}) {
+            if (s == nullptr) continue;
             const bool rr = s->name().starts_with("lcf_central_rr");
             EXPECT_EQ(ParanoidChecker::options_for(*s).check_diagonal_fairness,
                       rr)

@@ -175,6 +175,22 @@ TEST(QuickChannel, RejectsBadConfiguration) {
     EXPECT_THROW(QuickChannelSim(c, nullptr), std::invalid_argument);
 }
 
+// A run with no slot after warm-up would report a row of zeros.
+TEST(QuickChannel, RejectsWarmupNotBelowSlots) {
+    QuickChannelConfig c;
+    c.hosts = 4;
+    const auto build = [&c](std::uint64_t slots, std::uint64_t warmup) {
+        c.slots = slots;
+        c.warmup_slots = warmup;
+        return QuickChannelSim(
+            c, std::make_unique<traffic::BernoulliUniform>(0.1));
+    };
+    EXPECT_THROW(build(0, 0), std::invalid_argument);
+    EXPECT_THROW(build(100, 100), std::invalid_argument);
+    EXPECT_THROW(build(100, 200), std::invalid_argument);
+    EXPECT_NO_THROW(build(100, 99));
+}
+
 TEST(QuickChannel, InjectControlRejectsUnknownHosts) {
     QuickChannelSim sim(small_config(),
                         std::make_unique<traffic::BernoulliUniform>(0.1));

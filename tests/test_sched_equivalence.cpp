@@ -2,15 +2,15 @@
 // every optimized LCF scheduler must produce BIT-IDENTICAL matchings —
 // and identical last_iterations() — to its `*_reference` twin (the
 // per-bit transcription of the paper's pseudocode kept in
-// core/lcf_reference.hpp) on every cycle of a long randomized run, over
-// square and rectangular geometries and every round-robin variant. The
-// Figure-12 baselines (islip, pim, wfront, fifo) are held to the same
-// standard against the test-only per-bit oracles in baseline_oracles.hpp.
-// Both twins keep their instance across all cycles of a geometry, so
-// diverging round-robin pointers or RNG streams show up as a later
-// mismatch. The optimized schedulers' outputs additionally run under
-// the ParanoidChecker, so the optimizations cannot trade invariants for
-// speed.
+// oracles/lcf_reference.hpp) on every cycle of a long randomized run,
+// over square and rectangular geometries and every round-robin variant.
+// The Figure-12 baselines (islip, pim, wfront, fifo) are held to the
+// same standard against the per-bit oracles in baseline_oracles.hpp.
+// oracle::make_twin() builds either kind. Both twins keep their instance
+// across all cycles of a geometry, so diverging round-robin pointers or
+// RNG streams show up as a later mismatch. The optimized schedulers'
+// outputs additionally run under the ParanoidChecker, so the
+// optimizations cannot trade invariants for speed.
 
 #include <gtest/gtest.h>
 
@@ -18,15 +18,17 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "baseline_oracles.hpp"
 #include "core/factory.hpp"
 #include "core/lcf_central.hpp"
-#include "core/lcf_reference.hpp"
 #include "core/precalc.hpp"
 #include "obs/paranoid_checker.hpp"
+#include "oracles/lcf_reference.hpp"
+#include "oracles/twin.hpp"
 #include "sched/matching.hpp"
 #include "sched/request_matrix.hpp"
 #include "util/rng.hpp"
@@ -72,17 +74,6 @@ std::size_t cycles_for(const Geometry& g) {
     return std::max(g.inputs, g.outputs) >= 256 ? 40 : kCycles;
 }
 
-// The per-bit twin of `name`: a test-only oracle for the Figure-12
-// baselines, the registered `*_reference` scheduler for the lcf_* ones.
-std::unique_ptr<sched::Scheduler> make_twin(
-    const std::string& name, const sched::SchedulerConfig& config) {
-    if (name == "islip") return std::make_unique<oracle::IslipOracle>(config);
-    if (name == "pim") return std::make_unique<oracle::PimOracle>(config);
-    if (name == "wfront") return std::make_unique<oracle::WavefrontOracle>();
-    if (name == "fifo") return std::make_unique<oracle::FifoRrOracle>();
-    return core::make_scheduler(name + "_reference", config);
-}
-
 class SchedEquivalence : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SchedEquivalence, BitIdenticalToReferenceOverRandomCycles) {
@@ -90,7 +81,7 @@ TEST_P(SchedEquivalence, BitIdenticalToReferenceOverRandomCycles) {
     const sched::SchedulerConfig config{.iterations = 4, .seed = 7};
     for (const Geometry& g : kGeometries) {
         auto opt = core::make_scheduler(name, config);
-        auto ref = make_twin(name, config);
+        auto ref = oracle::make_twin(name, config);
         opt->reset(g.inputs, g.outputs);
         ref->reset(g.inputs, g.outputs);
 
@@ -120,44 +111,63 @@ TEST_P(SchedEquivalence, BitIdenticalToReferenceOverRandomCycles) {
     }
 }
 
-// Every registered scheduler with a `*_reference` twin.
-std::vector<std::string> names_with_twin() {
+// The registered schedulers with a twin: the lcf_* families (`lcf`
+// true) or the Figure-12 baselines.
+std::vector<std::string> names_with_twin(bool lcf) {
     std::vector<std::string> names;
     for (const auto& entry : core::scheduler_registry()) {
-        if (entry.make_reference != nullptr) names.emplace_back(entry.name);
+        if (entry.name.starts_with("lcf_") == lcf &&
+            oracle::make_twin(entry.name) != nullptr) {
+            names.emplace_back(entry.name);
+        }
     }
     return names;
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllLcfSchedulers, SchedEquivalence, ::testing::ValuesIn(names_with_twin()),
+    AllLcfSchedulers, SchedEquivalence,
+    ::testing::ValuesIn(names_with_twin(true)),
     [](const auto& param_info) { return param_info.param; });
 
 // 20x12 gives wfront diagonals whose rows share an output; the random
 // dense matrices give fifo inputs with more than one (non-HOL) request.
 INSTANTIATE_TEST_SUITE_P(
     Fig12Baselines, SchedEquivalence,
-    ::testing::Values("islip", "pim", "wfront", "fifo"),
+    ::testing::ValuesIn(names_with_twin(false)),
     [](const auto& param_info) { return param_info.param; });
 
-TEST(SchedEquivalence, ReferenceNamesRoundTripThroughFactory) {
+// The twin table covers exactly the word-parallel rows: dropping one
+// would silently drop its differential checks above.
+TEST(SchedEquivalence, EveryOptimizedSchedulerHasATwin) {
+    const std::set<std::string> expected = {
+        "lcf_central", "lcf_central_rr", "lcf_central_rr_single",
+        "lcf_central_rr_first", "lcf_dist", "lcf_dist_rr",
+        "islip", "pim", "wfront", "fifo"};
+    std::set<std::string> with_twin;
+    for (const auto& entry : core::scheduler_registry()) {
+        const auto twin = oracle::make_twin(entry.name);
+        if (twin == nullptr) continue;
+        with_twin.emplace(entry.name);
+        const std::string suffix =
+            entry.name.starts_with("lcf_") ? "_reference" : "_oracle";
+        EXPECT_EQ(twin->name(), std::string(entry.name) + suffix);
+    }
+    EXPECT_EQ(with_twin, expected);
+}
+
+// Twins are test support, not schedulers: no `*_reference` name reaches
+// the factory, so no sweep or CLI can select the per-bit path.
+TEST(SchedEquivalence, ReferenceNamesAreNotSchedulerNames) {
     const auto& listed = core::scheduler_names();
     ASSERT_EQ(listed.size(), core::scheduler_registry().size());
     for (std::size_t k = 0; k < listed.size(); ++k) {
-        const auto& entry = core::scheduler_registry()[k];
-        const std::string name(entry.name);
+        const std::string name(core::scheduler_registry()[k].name);
         EXPECT_EQ(listed[k], name);
-        EXPECT_EQ(entry.make({})->name(), name);
         EXPECT_EQ(core::make_scheduler(name)->name(), name);
-        const bool has_twin = entry.make_reference != nullptr;
-        EXPECT_TRUE(has_twin || !name.starts_with("lcf_")) << name;
-        const std::string twin = name + std::string(core::kReferenceSuffix);
-        EXPECT_EQ(core::is_scheduler_name(twin), has_twin) << twin;
-        if (!has_twin) continue;
-        EXPECT_EQ(entry.make_reference({})->name(), twin);
-        EXPECT_EQ(core::make_scheduler(twin)->name(), twin);
-        // Deliberately not enumerated by sweeps and figure harnesses.
-        EXPECT_EQ(std::count(listed.begin(), listed.end(), twin), 0) << twin;
+        const std::string twin = name + "_reference";
+        EXPECT_FALSE(core::is_scheduler_name(twin)) << twin;
+        EXPECT_THROW(core::make_scheduler(twin), std::invalid_argument)
+            << twin;
     }
 }
 
@@ -172,10 +182,10 @@ TEST(SchedEquivalence, PersistentMatrixReplay) {
     const sched::SchedulerConfig config{.iterations = 4, .seed = 7};
     for (const double load : {0.5, 0.99}) {
         std::vector<std::unique_ptr<sched::Scheduler>> opt, ref;
-        for (const std::string& name : names_with_twin()) {
+        for (const std::string& name : names_with_twin(true)) {
             if (!name.starts_with("lcf_central")) continue;
             opt.push_back(core::make_scheduler(name, config));
-            ref.push_back(make_twin(name, config));
+            ref.push_back(oracle::make_twin(name, config));
             opt.back()->reset(kPorts, kPorts);
             ref.back()->reset(kPorts, kPorts);
         }

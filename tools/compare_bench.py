@@ -3,7 +3,7 @@
 
 Usage:
     compare_bench.py BASELINE.json FRESH.json [--max-ratio 3.0]
-                     [--fresh-build-type Release]
+                     [--fresh-build-type Release] [--filter REGEX]
 
 BASELINE.json is a committed BENCH_*.json (see
 tools/make_bench_baseline.py); its "raw" map holds per-benchmark CPU
@@ -14,6 +14,11 @@ benchmark present in both files is slower than max-ratio times its
 baseline — a deliberately loose bound so CI catches complexity
 regressions (an accidental O(n^2) inner loop) without flaking on
 machine-to-machine noise.
+
+--filter takes the --benchmark_filter regex the fresh run was made
+with. Every baseline benchmark it matches must then be in the fresh
+run, so a renamed or dropped benchmark fails the comparison instead of
+leaving the gate without a word.
 
 Comparing across build types is meaningless (Debug runs are several
 times slower than Release); when --fresh-build-type is given and
@@ -27,6 +32,7 @@ Only the Python standard library is used.
 
 import argparse
 import json
+import re
 import sys
 
 
@@ -60,6 +66,10 @@ def main():
                         help="build type of the fresh run (e.g. from "
                              "CMakeCache.txt); warns loudly when it "
                              "differs from the baseline's build_type")
+    parser.add_argument("--filter", default=None,
+                        help="the fresh run's --benchmark_filter regex; "
+                             "fail when a baseline benchmark it matches "
+                             "is missing from the fresh run")
     args = parser.parse_args()
 
     baseline_doc = load_doc(args.baseline)
@@ -81,6 +91,18 @@ def main():
               "regenerate the baseline with tools/make_bench_baseline.py "
               "from a matching build.", file=sys.stderr)
         print("=" * 72, file=sys.stderr)
+
+    if args.filter is not None:
+        pattern = re.compile(args.filter)
+        missing = sorted(name for name in baseline
+                         if pattern.search(name) and name not in fresh)
+        if missing:
+            print(f"compare_bench: {len(missing)} baseline benchmark(s) "
+                  f"matching '{args.filter}' missing from {args.fresh}:",
+                  file=sys.stderr)
+            for name in missing:
+                print(f"  {name}", file=sys.stderr)
+            return 1
 
     common = sorted(set(baseline) & set(fresh))
     if not common:

@@ -2,8 +2,9 @@
 # CI perf smoke: run the scheduler microbenchmarks AND the end-to-end
 # simulation-throughput benchmarks on a Release build, and fail on crash
 # or on any benchmark slower than 3x its committed baseline
-# (BENCH_sched_speed.json / BENCH_sim_throughput.json). Complexity
-# regressions, not machine noise, are the target — see
+# (BENCH_sched_speed.json / BENCH_sim_throughput.json), or when a
+# baseline benchmark the filter selects is missing from the run.
+# Complexity regressions, not machine noise, are the target — see
 # tools/compare_bench.py. Both comparisons pass the build type read from
 # the build tree so compare_bench.py can warn loudly on a
 # Release-vs-Debug mismatch.
@@ -31,7 +32,7 @@ run_gate() {
     "$binary" --benchmark_filter="$filter" \
         --benchmark_min_time="$min_time" --json "$fresh"
     python3 "$REPO_ROOT/tools/compare_bench.py" "$baseline" "$fresh" \
-        --max-ratio 3.0 --fresh-build-type "$BUILD_TYPE"
+        --max-ratio 3.0 --fresh-build-type "$BUILD_TYPE" --filter "$filter"
 }
 
 # Scheduler-level: schedule() microbenchmarks at n in {16, 64}, plus
