@@ -11,6 +11,11 @@
 //   BM_SimThroughput/<scheduler>/<traffic>/<n>/<load%>
 // and each run reports items/sec == simulated slots/sec.
 //
+// BM_SwitchSimOwnPath/<n>/<load%>: a VOQ SwitchSim under uniform traffic
+// driven by a bench-local greedy scheduler that reads about one request
+// word per input, so the row moves with the simulator's own packet path
+// (arrivals, PQ -> VOQ, transfer, metrics) and not with a scheduler.
+//
 // One Clint row, BM_ClintIntegrated/<hosts>/<bulk load%>: both Clint
 // channels in lockstep (clint::run_clint, integrated mode) at the
 // perfbench clint-integrated-ber settings — 16 hosts, bulk load 0.8,
@@ -22,15 +27,74 @@
 
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "clint/clint_sim.hpp"
+#include "sched/scheduler.hpp"
 #include "sim/runner.hpp"
+#include "sim/switch_sim.hpp"
+#include "traffic/bernoulli.hpp"
 
 namespace {
+
+// Greedy maximal matching in one pass over the inputs: input i takes the
+// first free output it requests, searching word by word from a start
+// that rotates with i and the cycle (so no output is always last). At
+// high load the first word searched almost always has a candidate.
+class GreedyScheduler final : public lcf::sched::Scheduler {
+public:
+    void reset(std::size_t inputs, std::size_t outputs) override {
+        inputs_ = inputs;
+        outputs_ = outputs;
+        words_ = (outputs + 63) / 64;
+        free_.assign(words_, 0);
+        cycle_ = 0;
+    }
+
+    void schedule(const lcf::sched::RequestMatrix& requests,
+                  lcf::sched::Matching& out) override {
+        out.reset(inputs_, outputs_);
+        free_.assign(words_, ~std::uint64_t{0});
+        for (std::size_t i = 0; i < inputs_; ++i) {
+            const lcf::util::BitVec& row = requests.row(i);
+            const std::size_t start = (i + cycle_) % outputs_;
+            const std::size_t first_word = start / 64;
+            const std::uint64_t high = ~std::uint64_t{0} << (start % 64);
+            // Words first_word .. words_ - 1, 0 .. first_word, the start
+            // word's bits at or above `start` first and the rest last.
+            for (std::size_t k = 0; k <= words_; ++k) {
+                const std::size_t w = (first_word + k) % words_;
+                std::uint64_t bits = row.word(w) & free_[w];
+                if (k == 0) bits &= high;
+                if (k == words_) bits &= ~high;
+                if (bits != 0) {
+                    const auto bit = static_cast<std::size_t>(
+                        std::countr_zero(bits));
+                    out.match(i, w * 64 + bit);
+                    free_[w] &= ~(std::uint64_t{1} << bit);
+                    break;
+                }
+            }
+        }
+        ++cycle_;
+    }
+
+    [[nodiscard]] std::string_view name() const noexcept override {
+        return "greedy";
+    }
+
+private:
+    std::size_t inputs_ = 0;
+    std::size_t outputs_ = 0;
+    std::size_t words_ = 0;
+    std::vector<std::uint64_t> free_;  // bit j set: output j still free
+    std::size_t cycle_ = 0;
+};
 
 // One benchmark iteration simulates this many slots: enough to amortise
 // construction and fill the queues past the warm-up transient, small
@@ -51,6 +115,24 @@ void run_sim_point(benchmark::State& state, const std::string& sched,
     for (auto _ : state) {
         const auto result =
             lcf::sim::run_named(sched, config, traffic, load, sched_config);
+        benchmark::DoNotOptimize(result);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kSlots));
+}
+
+void run_own_path_point(benchmark::State& state, std::size_t ports,
+                        double load) {
+    lcf::sim::SimConfig config;
+    config.ports = ports;
+    config.slots = kSlots;
+    config.warmup_slots = kWarmup;
+    config.seed = 42;
+    for (auto _ : state) {
+        lcf::sim::SwitchSim sim(
+            config, std::make_unique<GreedyScheduler>(),
+            std::make_unique<lcf::traffic::BernoulliUniform>(load));
+        const auto result = sim.run();
         benchmark::DoNotOptimize(result);
     }
     state.SetItemsProcessed(state.iterations() *
@@ -98,6 +180,15 @@ void register_grid() {
                 }
             }
         }
+    }
+    for (const std::size_t n : radices) {
+        const std::string name =
+            "BM_SwitchSimOwnPath/" + std::to_string(n) + "/90";
+        benchmark::RegisterBenchmark(name.c_str(),
+                                     [n](benchmark::State& state) {
+                                         run_own_path_point(state, n, 0.9);
+                                     })
+            ->Unit(benchmark::kMillisecond);
     }
     benchmark::RegisterBenchmark("BM_ClintIntegrated/16/80", run_clint_point)
         ->Unit(benchmark::kMillisecond);

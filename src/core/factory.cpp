@@ -1,5 +1,6 @@
 #include "core/factory.hpp"
 
+#include <cstddef>
 #include <stdexcept>
 
 #include "core/lcf_central.hpp"
@@ -41,7 +42,8 @@ std::unique_ptr<sched::Scheduler> dist(const sched::SchedulerConfig& config) {
 
 // The single list of schedulers. Row order is scheduler_names() order,
 // which fuzz_scheduler indexes into: reordering rows re-targets every
-// committed corpus input.
+// committed corpus input. The first kFigure12Schedulers rows are the
+// Figure 12 legend in order.
 constexpr SchedulerEntry kRegistry[] = {
     {"lcf_central", central<RrVariant::kNone>},
     {"lcf_central_rr", central<RrVariant::kInterleaved>},
@@ -57,6 +59,7 @@ constexpr SchedulerEntry kRegistry[] = {
     {"ilqf", configured<sched::IlqfScheduler>},
     {"rrm", configured<sched::RrmScheduler>},
 };
+constexpr std::ptrdiff_t kFigure12Schedulers = 8;
 
 /// The constructor registered for `name`, or null.
 SchedulerEntry::Make find_maker(std::string_view name) {
@@ -93,10 +96,13 @@ const std::vector<std::string>& scheduler_names() {
 }
 
 const std::vector<std::string>& figure12_names() {
-    static const std::vector<std::string> names = {
-        "lcf_central", "lcf_central_rr", "lcf_dist_rr", "lcf_dist",
-        "pim",         "islip",          "wfront",      "fifo",
-        "outbuf"};
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out(scheduler_names().begin(),
+                                     scheduler_names().begin() +
+                                         kFigure12Schedulers);
+        out.emplace_back("outbuf");
+        return out;
+    }();
     return names;
 }
 

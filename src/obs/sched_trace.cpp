@@ -64,9 +64,10 @@ void SchedTrace::reset(std::size_t inputs, std::size_t outputs) {
 
 void SchedTrace::record(std::uint64_t cycle,
                         const sched::RequestMatrix& requests,
+                        std::uint64_t request_bits,
                         const sched::Matching& matching) {
     assert(requests.inputs() == inputs_ && requests.outputs() == outputs_);
-    const std::uint64_t request_bits = requests.total();
+    assert(request_bits == requests.total());
     const std::uint64_t granted = matching.size();
     counters_.observe_cycle(request_bits, granted);
     const std::uint64_t worst = ages_.observe(requests, matching);

@@ -77,9 +77,10 @@ public:
     /// Forget everything and adopt a new geometry.
     void reset(std::size_t inputs, std::size_t outputs);
 
-    /// Record one scheduling cycle.
+    /// Record one scheduling cycle. `request_bits` is the number of bits
+    /// set in `requests` (callers keep that count already).
     void record(std::uint64_t cycle, const sched::RequestMatrix& requests,
-                const sched::Matching& matching);
+                std::uint64_t request_bits, const sched::Matching& matching);
 
     [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
     /// Number of cycles currently retained (<= capacity()).

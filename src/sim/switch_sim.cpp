@@ -8,6 +8,50 @@
 
 namespace lcf::sim {
 
+void SimConfig::validate() const {
+    if (ports == 0) {
+        throw std::invalid_argument("ports must be positive");
+    }
+    if (speedup == 0) {
+        throw std::invalid_argument("speedup must be at least 1");
+    }
+    if (warmup_slots >= slots) {
+        throw std::invalid_argument("warmup_slots must be below slots");
+    }
+    if (clos_middle > 0 && (clos_group == 0 || ports % clos_group != 0)) {
+        throw std::invalid_argument("ports must be a multiple of clos_group");
+    }
+    // A zero-capacity queue on the packet path drops every packet and
+    // reports a run of zeros.
+    switch (mode) {
+        case SwitchMode::kVoq:
+            if (voq_capacity == 0) {
+                throw std::invalid_argument("voq_capacity must be positive");
+            }
+            if (voq_capacity > VoqBank::kMaxEntries / ports) {
+                throw std::invalid_argument(
+                    "ports x voq_capacity must fit the VOQ pool's 32-bit links");
+            }
+            if (pq_capacity == 0) {
+                throw std::invalid_argument("pq_capacity must be positive");
+            }
+            break;
+        case SwitchMode::kFifo:
+            if (fifo_capacity == 0) {
+                throw std::invalid_argument("fifo_capacity must be positive");
+            }
+            break;
+        case SwitchMode::kOutputBuffered:
+            break;
+    }
+    const bool output_buffers =
+        mode == SwitchMode::kOutputBuffered ||
+        (mode == SwitchMode::kVoq && speedup > 1);
+    if (output_buffers && outbuf_capacity == 0) {
+        throw std::invalid_argument("outbuf_capacity must be positive");
+    }
+}
+
 namespace {
 
 // Every argument is checked before any state is built, so a bad
@@ -16,33 +60,12 @@ namespace {
 const SimConfig& checked(const SimConfig& config,
                          const sched::Scheduler* scheduler,
                          const traffic::TrafficGenerator* traffic) {
-    if (config.ports == 0) {
-        throw std::invalid_argument("ports must be positive");
-    }
+    config.validate();
     if (traffic == nullptr) {
         throw std::invalid_argument("traffic generator required");
     }
     if (config.mode != SwitchMode::kOutputBuffered && scheduler == nullptr) {
         throw std::invalid_argument("scheduler required for input-queued modes");
-    }
-    if (config.speedup == 0) {
-        throw std::invalid_argument("speedup must be at least 1");
-    }
-    if (config.warmup_slots >= config.slots) {
-        throw std::invalid_argument("warmup_slots must be below slots");
-    }
-    if (config.clos_middle > 0 &&
-        (config.clos_group == 0 || config.ports % config.clos_group != 0)) {
-        throw std::invalid_argument("ports must be a multiple of clos_group");
-    }
-    if (config.mode == SwitchMode::kVoq) {
-        if (config.voq_capacity == 0) {
-            throw std::invalid_argument("voq_capacity must be positive");
-        }
-        if (config.voq_capacity > VoqBank::kMaxEntries / config.ports) {
-            throw std::invalid_argument(
-                "ports x voq_capacity must fit the VOQ pool's 32-bit links");
-        }
     }
     return config;
 }
@@ -116,7 +139,8 @@ void SwitchSim::observe_schedule(const sched::RequestMatrix& requests,
     // the starvation ages) are properties of the scheduler itself.
     counters_.observe_cycle(request_bits, matching_.size());
     if (trace_) {
-        trace_->record(counters_.cycles - 1, requests, matching_);
+        trace_->record(counters_.cycles - 1, requests, request_bits,
+                       matching_);
     }
     if (checker_) {
         checker_->check_cycle(requests, matching_);
@@ -156,9 +180,18 @@ void SwitchSim::step_arrivals() {
         }
         const Packet p{next_packet_id_++, static_cast<std::uint32_t>(i),
                        static_cast<std::uint32_t>(dst), slot_};
-        bool accepted = false;
+        bool accepted = true;
         switch (config_.mode) {
             case SwitchMode::kVoq:
+                // Cut-through: with nothing queued ahead of it in the
+                // packet queue, the PQ -> VOQ drain would move the packet
+                // on in this same slot, so it goes straight to its VOQ.
+                if (input_queues_[i].empty() && !voqs_[i].full(p.destination)) {
+                    push_voq(i, p);
+                } else {
+                    accepted = input_queues_[i].push(p);
+                }
+                break;
             case SwitchMode::kFifo:
                 accepted = input_queues_[i].push(p);
                 break;
@@ -170,24 +203,28 @@ void SwitchSim::step_arrivals() {
     }
 }
 
+void SwitchSim::push_voq(std::size_t input, const Packet& p) {
+    const std::size_t dst = p.destination;
+    VoqBank& bank = voqs_[input];
+    if (bank.empty(dst)) {
+        requests_.set(input, dst);
+        ++nonempty_voqs_;
+    }
+    bank.push(p);
+    if (track_queue_lengths_) {
+        ++queue_lengths_[input * config_.ports + dst];
+    }
+}
+
 void SwitchSim::step_voq_mode() {
     // PQ -> VOQ: move packets as long as the head's VOQ has space
     // ("buffered in the packet queues and next, if space permits, in the
-    // virtual output queues"). A VOQ turning non-empty raises its
-    // request bit.
+    // virtual output queues"). Arrivals that found their packet queue
+    // empty have already cut through, so only backed-up inputs move.
     for (std::size_t i = 0; i < config_.ports; ++i) {
-        auto& pq = input_queues_[i];
-        auto& bank = voqs_[i];
-        while (!pq.empty() && !bank.full(pq.front().destination)) {
-            const std::size_t dst = pq.front().destination;
-            if (bank.empty(dst)) {
-                requests_.set(i, dst);
-                ++nonempty_voqs_;
-            }
-            bank.push(pq.pop());
-            if (track_queue_lengths_) {
-                ++queue_lengths_[i * config_.ports + dst];
-            }
+        PacketQueue& pq = input_queues_[i];
+        while (!pq.empty() && !voqs_[i].full(pq.front().destination)) {
+            push_voq(i, pq.pop());
         }
     }
 

@@ -94,6 +94,14 @@ struct SimConfig {
     /// SchedCounters::stalled_cycles); packets the switch already
     /// buffered stay buffered and flow on once the fault clears.
     fault::FaultPlan fault_plan;
+
+    /// Throw std::invalid_argument naming the first field that makes the
+    /// configuration unrunnable: no ports, speedup 0, warm-up covering
+    /// the run, a Clos group that does not divide the ports, or a zero
+    /// capacity on a queue the mode uses (VOQ and packet queue in kVoq,
+    /// FIFO in kFifo, output buffer in kOutputBuffered and at speedup
+    /// > 1). SwitchSim's constructor calls it before building any state.
+    void validate() const;
 };
 
 /// One switch simulation. Construct, then either run() to completion or
@@ -169,6 +177,9 @@ public:
 
 private:
     void step_arrivals();
+    /// Enqueue `p` in its VOQ at `input` (which has room), raising the
+    /// request bit when the VOQ turns non-empty.
+    void push_voq(std::size_t input, const Packet& p);
     /// The matrix the scheduler sees: requests_ itself, or with a fault
     /// injector engaged a copy with crashed ports' rows and columns
     /// cleared.

@@ -7,16 +7,6 @@ namespace lcf::util {
 
 Histogram::Histogram(std::size_t capacity) : buckets_(capacity, 0) {}
 
-void Histogram::add(std::uint64_t value) noexcept {
-    if (value < buckets_.size()) {
-        ++buckets_[value];
-    } else {
-        ++overflow_;
-    }
-    ++count_;
-    total_ += static_cast<double>(value);
-}
-
 void Histogram::merge(const Histogram& other) {
     assert(buckets_.size() == other.buckets_.size());
     for (std::size_t i = 0; i < buckets_.size(); ++i) {

@@ -18,7 +18,15 @@ public:
     explicit Histogram(std::size_t capacity = 1024);
 
     /// Record one sample.
-    void add(std::uint64_t value) noexcept;
+    void add(std::uint64_t value) noexcept {
+        if (value < buckets_.size()) {
+            ++buckets_[value];
+        } else {
+            ++overflow_;
+        }
+        ++count_;
+        total_ += static_cast<double>(value);
+    }
     /// Merge another histogram of the same capacity.
     void merge(const Histogram& other);
 

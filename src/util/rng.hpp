@@ -5,6 +5,7 @@
 // are reproducible; xoshiro256** is used for speed (the simulator draws one
 // to two variates per port per slot) and SplitMix64 for seed expansion.
 
+#include <cassert>
 #include <cstdint>
 #include <limits>
 
@@ -62,9 +63,30 @@ public:
         return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
     }
 
-    /// Uniform integer in [0, bound) without modulo bias (Lemire's method
-    /// with rejection). Precondition: bound > 0.
-    std::uint64_t next_below(std::uint64_t bound) noexcept;
+    /// Uniform integer in [0, bound) without modulo bias (Lemire's
+    /// multiply-shift with rejection, arXiv:1805.10941). Precondition:
+    /// bound > 0.
+    ///
+    /// The rejection threshold (2^64 - bound) mod bound is below bound,
+    /// so a low word at or above bound is always accepted and the
+    /// division is paid only when the low word falls below bound (a
+    /// chance of bound / 2^64 per draw). The words consumed and the
+    /// values returned are those of computing the threshold first.
+    std::uint64_t next_below(std::uint64_t bound) noexcept {
+        // `% bound` below divides by zero for bound == 0: there is no
+        // value "uniform in [0, 0)" to return. Callers check emptiness.
+        assert(bound > 0 && "Xoshiro256::next_below requires bound > 0");
+        __uint128_t m = static_cast<__uint128_t>((*this)()) * bound;
+        auto low = static_cast<std::uint64_t>(m);
+        if (low < bound) {
+            const std::uint64_t threshold = (0 - bound) % bound;
+            while (low < threshold) {
+                m = static_cast<__uint128_t>((*this)()) * bound;
+                low = static_cast<std::uint64_t>(m);
+            }
+        }
+        return static_cast<std::uint64_t>(m >> 64);
+    }
 
     /// Bernoulli trial with success probability p (clamped to [0,1]).
     constexpr bool next_bool(double p) noexcept { return next_double() < p; }

@@ -1,6 +1,7 @@
 #pragma once
 // Streaming statistics used by the simulator's metric collectors.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -11,7 +12,14 @@ namespace lcf::util {
 class RunningStat {
 public:
     /// Fold one observation into the accumulator.
-    void add(double x) noexcept;
+    void add(double x) noexcept {
+        ++n_;
+        const double delta = x - mean_;
+        mean_ += delta / static_cast<double>(n_);
+        m2_ += delta * (x - mean_);
+        min_ = std::min(min_, x);
+        max_ = std::max(max_, x);
+    }
     /// Merge another accumulator (parallel reduction support).
     void merge(const RunningStat& other) noexcept;
 

@@ -118,7 +118,7 @@ TEST(SchedTrace, RingKeepsMostRecentCycles) {
     sched::RequestMatrix r(4);
     r.set(0, 0);
     for (std::uint64_t c = 0; c < 10; ++c) {
-        trace.record(c, r, single_match(4, 0, 0));
+        trace.record(c, r, 1, single_match(4, 0, 0));
     }
     EXPECT_EQ(trace.capacity(), 3u);
     EXPECT_EQ(trace.size(), 3u);
@@ -141,7 +141,7 @@ TEST(SchedTrace, RecordsRequestAndGrantShape) {
     sched::Matching m;
     m.reset(4, 4);
     m.match(1, 2);
-    trace.record(0, r, m);
+    trace.record(0, r, 2, m);
     const TraceRecord& rec = trace.at(0);
     EXPECT_EQ(rec.requests, 2u);
     EXPECT_EQ(rec.granted, 1u);
@@ -155,8 +155,8 @@ TEST(SchedTrace, CsvExportHasHeaderAndOneRowPerCycle) {
     SchedTrace trace(2, 2, 4);
     sched::RequestMatrix r(2);
     r.set(0, 1);
-    trace.record(0, r, single_match(2, 0, 1));
-    trace.record(1, r, single_match(2, 0, 1));
+    trace.record(0, r, 1, single_match(2, 0, 1));
+    trace.record(1, r, 1, single_match(2, 0, 1));
     std::ostringstream out;
     trace.export_csv(out);
     const std::string text = out.str();
@@ -171,7 +171,7 @@ TEST(SchedTrace, JsonlExportOneObjectPerCycle) {
     SchedTrace trace(2, 2, 4);
     sched::RequestMatrix r(2);
     r.set(1, 0);
-    trace.record(7, r, single_match(2, 1, 0));
+    trace.record(7, r, 1, single_match(2, 1, 0));
     std::ostringstream out;
     trace.export_jsonl(out);
     const std::string text = out.str();
@@ -184,7 +184,7 @@ TEST(SchedTrace, ResetForgetsEverything) {
     SchedTrace trace(2, 2, 4);
     sched::RequestMatrix r(2);
     r.set(0, 0);
-    trace.record(0, r, single_match(2, 0, 0));
+    trace.record(0, r, 1, single_match(2, 0, 0));
     trace.reset(3, 3);
     EXPECT_EQ(trace.size(), 0u);
     EXPECT_EQ(trace.recorded(), 0u);

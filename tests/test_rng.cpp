@@ -84,6 +84,37 @@ TEST(Xoshiro256, NextBelowIsApproximatelyUniform) {
     EXPECT_LT(chi2, 27.9);
 }
 
+// Lemire's method in its textbook form: the rejection threshold
+// computed on every call, before the first draw.
+std::uint64_t next_below_threshold_first(Xoshiro256& rng,
+                                         std::uint64_t bound) {
+    const std::uint64_t threshold = (0 - bound) % bound;
+    while (true) {
+        const __uint128_t m = static_cast<__uint128_t>(rng()) * bound;
+        if (static_cast<std::uint64_t>(m) >= threshold) {
+            return static_cast<std::uint64_t>(m >> 64);
+        }
+    }
+}
+
+// Computing the threshold only when the low word falls below the bound
+// must draw the same words and return the same values. 2^63 + 1 rejects
+// about every other draw; 2^64 - 1 almost never.
+TEST(Xoshiro256, NextBelowMatchesThresholdFirstFormulation) {
+    for (const std::uint64_t bound :
+         {1ull, 2ull, 3ull, 7ull, 64ull, 256ull, 1000ull, (1ull << 32) + 1,
+          (1ull << 63) + 1, ~0ull}) {
+        SCOPED_TRACE(bound);
+        Xoshiro256 fast(31), oracle(31);
+        for (int i = 0; i < 100000; ++i) {
+            ASSERT_EQ(fast.next_below(bound),
+                      next_below_threshold_first(oracle, bound))
+                << "draw " << i;
+        }
+        EXPECT_EQ(fast(), oracle());
+    }
+}
+
 TEST(Xoshiro256, NextBoolMatchesProbability) {
     Xoshiro256 rng(23);
     int hits = 0;

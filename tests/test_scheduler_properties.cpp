@@ -265,10 +265,7 @@ TEST(ParanoidProperties, CleanOnRectangularGeometries) {
 
 INSTANTIATE_TEST_SUITE_P(
     Library, AllSchedulers,
-    ::testing::Values("fifo", "pim", "islip", "wfront", "maxsize",
-                      "lcf_central", "lcf_central_rr",
-                      "lcf_central_rr_single", "lcf_central_rr_first",
-                      "lcf_dist", "lcf_dist_rr", "ilqf", "rrm"),
+    ::testing::ValuesIn(core::scheduler_names()),
     [](const ::testing::TestParamInfo<std::string>& param_info) {
         return param_info.param;
     });
@@ -283,8 +280,13 @@ TEST(Factory, NameListsAreConsistent) {
         EXPECT_NO_THROW(core::make_scheduler(name));
     }
     EXPECT_FALSE(core::is_scheduler_name("outbuf"));
-    // Figure 12 has nine configurations: eight schedulers + outbuf.
-    EXPECT_EQ(core::figure12_names().size(), 9u);
+    // Figure 12 has nine configurations, in legend order: the first
+    // eight registry rows, then outbuf.
+    EXPECT_EQ(core::figure12_names(),
+              (std::vector<std::string>{"lcf_central", "lcf_central_rr",
+                                        "lcf_dist_rr", "lcf_dist", "pim",
+                                        "islip", "wfront", "fifo",
+                                        "outbuf"}));
 }
 
 }  // namespace

@@ -170,6 +170,33 @@ TEST(SimGolden, Speedup2FullOutputBuffers) {
     EXPECT_EQ(r.sched.cycles, 10000u);
 }
 
+// Two-entry VOQs behind eight-entry packet queues under bursts: bursts
+// back up into the packet queues, which overflow. Pins every field of
+// the result, so a packet that skips ahead of a backed-up packet queue
+// (or is dropped in the wrong place) shows up.
+TEST(SimGolden, PacketQueueBackpressure) {
+    sim::SimConfig c = small_voq_config();
+    c.voq_capacity = 2;
+    c.pq_capacity = 8;
+    const auto r = run_voq_point("lcf_central", "bursty", 0.95, c);
+    expect_matches_golden(
+        r, {80000, 48196, 31654, 43279, 48196, 16.636682917812017, 82.0,
+            0.60313888888888889, 1.7664166666666667});
+    EXPECT_GT(r.dropped, 0u);
+    EXPECT_DOUBLE_EQ(r.p50_delay, 11.0);
+    EXPECT_DOUBLE_EQ(r.max_delay, 260.0);
+    EXPECT_DOUBLE_EQ(r.offered_load, 0.95);
+    EXPECT_EQ(r.fabric_blocked, 0u);
+    EXPECT_EQ(r.ports, 16u);
+    EXPECT_TRUE(r.service.empty());
+    EXPECT_EQ(r.sched, (obs::SchedCounters{.cycles = 5000,
+                                           .requests = 140845,
+                                           .grants = 48196,
+                                           .empty_cycles = 0,
+                                           .max_matching = 14}));
+    EXPECT_EQ(r.faults, fault::FaultCounters{});
+}
+
 // Two host crashes and a scheduler stall: the scheduler, trace and
 // paranoid checker read a masked copy of the request matrix.
 sim::SimConfig faulty_config() {

@@ -280,6 +280,42 @@ TEST(SwitchSim, RejectsZeroVoqCapacity) {
                               std::make_unique<traffic::BernoulliUniform>(0.5)));
 }
 
+// A zero-capacity queue on the packet path would drop every packet; each
+// is rejected only in the modes that have that queue.
+TEST(SwitchSim, RejectsZeroPqCapacity) {
+    auto c = tiny();
+    c.pq_capacity = 0;
+    EXPECT_THROW(c.validate(), std::invalid_argument);
+    EXPECT_THROW(make_uniform(c), std::invalid_argument);
+    c.mode = SwitchMode::kFifo;
+    EXPECT_NO_THROW(c.validate());
+}
+
+TEST(SwitchSim, RejectsZeroFifoCapacity) {
+    auto c = tiny(SwitchMode::kFifo);
+    c.fifo_capacity = 0;
+    EXPECT_THROW(c.validate(), std::invalid_argument);
+    EXPECT_THROW(SwitchSim(c, core::make_scheduler("fifo"),
+                           std::make_unique<traffic::BernoulliUniform>(0.5)),
+                 std::invalid_argument);
+    c.mode = SwitchMode::kVoq;
+    EXPECT_NO_THROW(c.validate());
+}
+
+TEST(SwitchSim, RejectsZeroOutbufCapacity) {
+    auto c = tiny(SwitchMode::kOutputBuffered);
+    c.outbuf_capacity = 0;
+    EXPECT_THROW(c.validate(), std::invalid_argument);
+    EXPECT_THROW(SwitchSim(c, nullptr,
+                           std::make_unique<traffic::BernoulliUniform>(0.5)),
+                 std::invalid_argument);
+    // A VOQ switch has output buffers only with speedup.
+    c.mode = SwitchMode::kVoq;
+    EXPECT_NO_THROW(c.validate());
+    c.speedup = 2;
+    EXPECT_THROW(make_uniform(c), std::invalid_argument);
+}
+
 TEST(SwitchSim, RejectsVoqPoolBeyond32BitLinks) {
     // 65536 × 65537 entries cannot be indexed by 32-bit links; the check
     // must fire before the 65536-port request matrix is allocated.

@@ -44,6 +44,9 @@ run_gate "$BUILD_DIR/bench/bench_sched_speed" \
 
 # End-to-end: slots/sec at n in {16, 64}, load 0.9 (the n=256 points are
 # too slow for a smoke job; the committed baseline still records them),
-# plus the integrated Clint row (16 hosts, bulk load 0.8).
+# the simulator's own packet path at n=64 (greedy scheduler), and the
+# integrated Clint row (16 hosts, bulk load 0.8).
 run_gate "$BUILD_DIR/bench/bench_sim_throughput" \
-    "$REPO_ROOT/BENCH_sim_throughput.json" '/(16|64)/90$|^BM_ClintIntegrated/' 0.05
+    "$REPO_ROOT/BENCH_sim_throughput.json" \
+    '^BM_SimThroughput/.*/(16|64)/90$|^BM_SwitchSimOwnPath/64/|^BM_ClintIntegrated/' \
+    0.05
