@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "sim/runner.hpp"
+#include "traffic/traffic.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
@@ -60,11 +61,16 @@ int main(int argc, char** argv) {
     std::uint64_t iterations = 4;
     std::uint64_t threads = 0;
 
+    std::string traffic_help;
+    for (const auto& name : lcf::traffic::traffic_names()) {
+        if (!traffic_help.empty()) traffic_help += '|';
+        traffic_help += name;
+    }
+
     lcf::util::CliParser cli("Custom latency-vs-load sweep");
     cli.flag("schedulers", "comma-separated Figure 12 names", &schedulers)
         .flag("loads", "comma-separated offered loads", &loads_arg)
-        .flag("traffic", "uniform|bursty|hotspot|diagonal|permutation",
-              &traffic)
+        .flag("traffic", traffic_help, &traffic)
         .flag("csv", "write results to this CSV file", &csv_path)
         .flag("ports", "switch radix", &config.ports)
         .flag("slots", "slots per grid point", &config.slots)

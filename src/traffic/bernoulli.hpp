@@ -6,33 +6,23 @@
 
 #include "traffic/traffic.hpp"
 
-#include <vector>
-
-#include "util/rng.hpp"
-
 namespace lcf::traffic {
 
 /// i.i.d. Bernoulli(load) arrivals, destination uniform over all outputs
 /// (self-traffic included; see DESIGN.md §6.4).
-class BernoulliUniform final : public TrafficGenerator {
+class BernoulliUniform final : public PerInputTraffic<BernoulliUniform> {
 public:
-    explicit BernoulliUniform(double load);
+    explicit BernoulliUniform(double load) : PerInputTraffic(load) {}
 
-    std::int32_t arrival(std::size_t input, std::uint64_t slot) override;
-    void arrivals(std::uint64_t slot, std::int32_t* out) override;
-    [[nodiscard]] double offered_load() const noexcept override { return load_; }
-    [[nodiscard]] std::string_view name() const noexcept override {
-        return "uniform";
-    }
-
-protected:
-    void do_reset(std::size_t inputs, std::size_t outputs,
-                  std::uint64_t seed) override;
+    static constexpr std::string_view kName = "uniform";
 
 private:
-    double load_;
-    std::size_t outputs_ = 0;
-    std::vector<util::Xoshiro256> rng_;  // one independent stream per input
+    friend PerInputTraffic;
+
+    std::int32_t draw(RngPort& port, std::size_t /*input*/) {
+        if (!port.rng.next_bool(load_)) return kNoArrival;
+        return static_cast<std::int32_t>(port.rng.next_below(outputs_));
+    }
 };
 
 }  // namespace lcf::traffic

@@ -7,32 +7,25 @@
 
 #include "traffic/traffic.hpp"
 
-#include <vector>
-
-#include "util/rng.hpp"
-
 namespace lcf::traffic {
 
 /// Two-destination diagonal pattern (2/3 to i, 1/3 to i+1).
-class DiagonalTraffic final : public TrafficGenerator {
+class DiagonalTraffic final : public PerInputTraffic<DiagonalTraffic> {
 public:
-    explicit DiagonalTraffic(double load);
+    explicit DiagonalTraffic(double load) : PerInputTraffic(load) {}
 
-    std::int32_t arrival(std::size_t input, std::uint64_t slot) override;
-    void arrivals(std::uint64_t slot, std::int32_t* out) override;
-    [[nodiscard]] double offered_load() const noexcept override { return load_; }
-    [[nodiscard]] std::string_view name() const noexcept override {
-        return "diagonal";
-    }
-
-protected:
-    void do_reset(std::size_t inputs, std::size_t outputs,
-                  std::uint64_t seed) override;
+    static constexpr std::string_view kName = "diagonal";
 
 private:
-    double load_;
-    std::size_t outputs_ = 0;
-    std::vector<util::Xoshiro256> rng_;
+    friend PerInputTraffic;
+
+    std::int32_t draw(RngPort& port, std::size_t input) {
+        if (!port.rng.next_bool(load_)) return kNoArrival;
+        const std::size_t dst = port.rng.next_bool(2.0 / 3.0)
+                                    ? input % outputs_
+                                    : (input + 1) % outputs_;
+        return static_cast<std::int32_t>(dst);
+    }
 };
 
 }  // namespace lcf::traffic

@@ -5,36 +5,44 @@
 
 #include "traffic/traffic.hpp"
 
-#include <vector>
-
-#include "util/rng.hpp"
-
 namespace lcf::traffic {
 
 /// Bernoulli arrivals; destination is the hotspot with probability
 /// `hot_fraction`, otherwise uniform over all outputs.
-class HotspotTraffic final : public TrafficGenerator {
+class HotspotTraffic final : public PerInputTraffic<HotspotTraffic> {
 public:
     HotspotTraffic(double load, double hot_fraction = 0.3,
-                   std::size_t hot_port = 0);
-
-    std::int32_t arrival(std::size_t input, std::uint64_t slot) override;
-    void arrivals(std::uint64_t slot, std::int32_t* out) override;
-    [[nodiscard]] double offered_load() const noexcept override { return load_; }
-    [[nodiscard]] std::string_view name() const noexcept override {
-        return "hotspot";
+                   std::size_t hot_port = 0)
+        : PerInputTraffic(load),
+          hot_fraction_(hot_fraction),
+          hot_port_(hot_port) {
+        if (hot_fraction < 0.0 || hot_fraction > 1.0) {
+            throw std::invalid_argument("hot_fraction must be in [0, 1]");
+        }
     }
 
-protected:
-    void do_reset(std::size_t inputs, std::size_t outputs,
-                  std::uint64_t seed) override;
+    static constexpr std::string_view kName = "hotspot";
 
 private:
-    double load_;
+    friend PerInputTraffic;
+
+    void configure(std::size_t /*inputs*/, std::size_t outputs,
+                   std::uint64_t /*seed*/) const {
+        if (hot_port_ >= outputs) {
+            throw std::invalid_argument("hot_port out of range");
+        }
+    }
+
+    std::int32_t draw(RngPort& port, std::size_t /*input*/) {
+        if (!port.rng.next_bool(load_)) return kNoArrival;
+        if (port.rng.next_bool(hot_fraction_)) {
+            return static_cast<std::int32_t>(hot_port_);
+        }
+        return static_cast<std::int32_t>(port.rng.next_below(outputs_));
+    }
+
     double hot_fraction_;
     std::size_t hot_port_;
-    std::size_t outputs_ = 0;
-    std::vector<util::Xoshiro256> rng_;
 };
 
 }  // namespace lcf::traffic

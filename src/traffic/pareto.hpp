@@ -7,30 +7,29 @@
 
 #include "traffic/traffic.hpp"
 
-#include <vector>
-
-#include "util/rng.hpp"
+#include <cmath>
 
 namespace lcf::traffic {
+
+/// Per-input state of a bounded-Pareto on/off source.
+struct ParetoPort {
+    util::Xoshiro256 rng{0};
+    std::uint64_t remaining_burst = 0;
+    std::int32_t burst_dst = 0;
+};
 
 /// On/off source with bounded-Pareto(alpha, 1, max_burst) ON periods
 /// (one packet per slot to a per-burst destination) and geometric OFF
 /// periods calibrated so the long-run load matches.
-class ParetoBurstTraffic final : public TrafficGenerator {
+class ParetoBurstTraffic final
+    : public PerInputTraffic<ParetoBurstTraffic, ParetoPort> {
 public:
     /// `alpha` in (1, 2] gives finite mean but very high variance;
     /// default 1.5 with bursts capped at 10 000 slots.
     explicit ParetoBurstTraffic(double load, double alpha = 1.5,
                                 double max_burst = 10000.0);
 
-    std::int32_t arrival(std::size_t input, std::uint64_t slot) override;
-    void arrivals(std::uint64_t slot, std::int32_t* out) override;
-    [[nodiscard]] double offered_load() const noexcept override {
-        return load_;
-    }
-    [[nodiscard]] std::string_view name() const noexcept override {
-        return "pareto";
-    }
+    static constexpr std::string_view kName = "pareto";
 
     /// Mean of the bounded Pareto(alpha, 1, max_burst) distribution.
     [[nodiscard]] double mean_burst() const noexcept { return mean_burst_; }
@@ -38,24 +37,25 @@ public:
     /// One bounded-Pareto draw (exposed for the distribution tests).
     [[nodiscard]] double sample_burst(util::Xoshiro256& rng) const noexcept;
 
-protected:
-    void do_reset(std::size_t inputs, std::size_t outputs,
-                  std::uint64_t seed) override;
-
 private:
-    struct PortState {
-        util::Xoshiro256 rng{0};
-        std::uint64_t remaining_burst = 0;
-        std::int32_t burst_dst = 0;
-    };
+    friend PerInputTraffic;
 
-    double load_;
+    std::int32_t draw(ParetoPort& p, std::size_t /*input*/) {
+        if (p.remaining_burst == 0) {
+            if (!p.rng.next_bool(p_start_)) return kNoArrival;
+            p.remaining_burst = static_cast<std::uint64_t>(
+                std::llround(sample_burst(p.rng)));
+            if (p.remaining_burst == 0) p.remaining_burst = 1;
+            p.burst_dst = static_cast<std::int32_t>(p.rng.next_below(outputs_));
+        }
+        --p.remaining_burst;
+        return p.burst_dst;
+    }
+
     double alpha_;
     double max_burst_;
     double mean_burst_ = 1.0;
     double p_start_ = 0.0;  // P(burst starts per idle slot)
-    std::size_t outputs_ = 0;
-    std::vector<PortState> ports_;
 };
 
 }  // namespace lcf::traffic

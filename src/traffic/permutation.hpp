@@ -8,35 +8,32 @@
 
 #include <vector>
 
-#include "util/rng.hpp"
-
 namespace lcf::traffic {
 
 /// Bernoulli arrivals along a fixed random permutation.
-class PermutationTraffic final : public TrafficGenerator {
+class PermutationTraffic final : public PerInputTraffic<PermutationTraffic> {
 public:
-    explicit PermutationTraffic(double load);
+    explicit PermutationTraffic(double load) : PerInputTraffic(load) {}
 
-    std::int32_t arrival(std::size_t input, std::uint64_t slot) override;
-    void arrivals(std::uint64_t slot, std::int32_t* out) override;
-    [[nodiscard]] double offered_load() const noexcept override { return load_; }
-    [[nodiscard]] std::string_view name() const noexcept override {
-        return "permutation";
-    }
+    static constexpr std::string_view kName = "permutation";
 
     /// Destination assigned to `input` (exposed for tests).
     [[nodiscard]] std::size_t destination_of(std::size_t input) const {
         return perm_[input];
     }
 
-protected:
-    void do_reset(std::size_t inputs, std::size_t outputs,
-                  std::uint64_t seed) override;
-
 private:
-    double load_;
+    friend PerInputTraffic;
+
+    void configure(std::size_t inputs, std::size_t outputs,
+                   std::uint64_t seed);
+
+    std::int32_t draw(RngPort& port, std::size_t input) {
+        if (!port.rng.next_bool(load_)) return kNoArrival;
+        return static_cast<std::int32_t>(perm_[input]);
+    }
+
     std::vector<std::size_t> perm_;
-    std::vector<util::Xoshiro256> rng_;
 };
 
 }  // namespace lcf::traffic

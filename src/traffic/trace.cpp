@@ -27,7 +27,9 @@ void TraceTraffic::do_reset(std::size_t inputs, std::size_t outputs,
         }
         max_slot = std::max(max_slot, key.first);
     }
-    const double span = static_cast<double>((max_slot + 1) * inputs);
+    // In double: (max_slot + 1) * inputs can exceed 64 bits.
+    const double span = (static_cast<double>(max_slot) + 1.0) *
+                        static_cast<double>(inputs);
     offered_ = span > 0 ? static_cast<double>(arrivals_.size()) / span : 0.0;
 }
 

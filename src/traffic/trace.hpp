@@ -16,6 +16,8 @@ struct TraceEntry {
     std::uint64_t slot;
     std::size_t input;
     std::size_t destination;
+
+    bool operator==(const TraceEntry&) const = default;
 };
 
 /// Replays a fixed arrival trace; at most one arrival per (slot, input).

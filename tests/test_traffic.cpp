@@ -223,13 +223,47 @@ TEST(Trace, RejectsDuplicatesAndRangeErrors) {
     EXPECT_THROW(bad_dst.reset(4, 4, 0), std::invalid_argument);
 }
 
+TEST(Trace, OfferedLoadSurvivesHugeSlots) {
+    // The span (max_slot + 1) * inputs overflows 64 bits for slots near
+    // 2^62; the load must still be arrivals over the true span.
+    TraceTraffic far({{0, 0, 1}, {std::uint64_t{1} << 62, 1, 2}});
+    far.reset(4, 4, 0);
+    EXPECT_NEAR(far.offered_load(), 2.0 / (std::ldexp(1.0, 62) * 4.0),
+                1e-30);
+    TraceTraffic last({{~std::uint64_t{0}, 0, 1}});
+    last.reset(4, 4, 0);
+    EXPECT_GT(last.offered_load(), 0.0);
+    EXPECT_LT(last.offered_load(), 1e-19);
+}
+
+TEST(Generators, BatchMatchesScalar) {
+    // arrivals(t, out) must draw exactly what arrival(i, t) draws for
+    // ascending i: a batched run and a scalar run are the same run.
+    constexpr std::size_t kN = 16;
+    for (const auto& name : traffic_names()) {
+        for (const double load : {0.3, 0.9, 1.0}) {
+            auto scalar = make_traffic(name, load);
+            auto batch = make_traffic(name, load);
+            scalar->reset(kN, kN, 21);
+            batch->reset(kN, kN, 21);
+            std::vector<std::int32_t> out(kN);
+            for (std::uint64_t t = 0; t < 2000; ++t) {
+                batch->arrivals(t, out.data());
+                for (std::size_t i = 0; i < kN; ++i) {
+                    ASSERT_EQ(scalar->arrival(i, t), out[i])
+                        << name << " load " << load << " slot " << t
+                        << " input " << i;
+                }
+            }
+        }
+    }
+}
+
 TEST(Generators, RejectEmptyGeometry) {
     // Regression: reset(n, 0, seed) used to be accepted, and the first
     // arrival() then drew a destination below 0 — division by zero
     // inside the RNG's rejection sampler.
-    for (const auto* name :
-         {"uniform", "bursty", "pareto", "hotspot", "diagonal",
-          "permutation"}) {
+    for (const auto& name : traffic_names()) {
         auto gen = make_traffic(name, 0.5);
         EXPECT_THROW(gen->reset(4, 0, 1), std::invalid_argument) << name;
         EXPECT_THROW(gen->reset(0, 4, 1), std::invalid_argument) << name;
@@ -260,8 +294,7 @@ TEST(Factory, TrafficNamesRoundTrip) {
 }
 
 TEST(Factory, MakesEveryKnownPattern) {
-    for (const auto* name :
-         {"uniform", "bursty", "hotspot", "diagonal", "permutation"}) {
+    for (const auto& name : traffic_names()) {
         auto gen = make_traffic(name, 0.5);
         ASSERT_NE(gen, nullptr) << name;
         EXPECT_EQ(gen->name(), name);

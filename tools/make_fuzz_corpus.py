@@ -97,11 +97,32 @@ def scheduler_corpus() -> dict[str, bytes]:
     return out
 
 
+def trace_csv_corpus() -> dict[str, bytes]:
+    # Trace files as fuzz/fuzz_trace_csv.cpp reads them: a
+    # `slot,input,destination` header, then one arrival per row. The
+    # harness replays accepted traces on a 16-port switch.
+    header = b"slot,input,destination\n"
+    rows = b"0,0,3\n0,1,2\n5,0,1\n7,15,15\n"
+    return {
+        "valid": header + rows,
+        "header_only": header,
+        "crlf": (header + rows).replace(b"\n", b"\r\n"),
+        "bad_number": header + b"0,0,3\n1,x,2\n",
+        "missing_field": header + b"0,0,3\n1,2\n",
+        # Parses, but TraceTraffic rejects two arrivals at one (slot, input).
+        "duplicate": header + b"4,2,1\n4,2,5\n",
+        # (slot + 1) * inputs overflows 64 bits: the offered load must
+        # still be tiny and positive.
+        "huge_slot": header + b"0,0,1\n18446744073709551615,3,2\n",
+    }
+
+
 def write_corpus(root: pathlib.Path) -> int:
     wrote = 0
     for subdir, entries in (
         ("packets", packets_corpus()),
         ("scheduler", scheduler_corpus()),
+        ("trace_csv", trace_csv_corpus()),
     ):
         directory = root / "fuzz" / "corpus" / subdir
         directory.mkdir(parents=True, exist_ok=True)
