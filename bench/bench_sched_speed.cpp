@@ -13,6 +13,8 @@
 // traffic at that load) through one persistent matrix, the way the
 // simulator drives it. Rescheduling a handful of warm random matrices
 // lets the branch predictor learn them; a real sequence does not.
+// BM_LcfDistReplay/<n>/<load%> does the same for lcf_dist, on the
+// matrices a SwitchSim under lcf_dist schedules.
 //
 // Usage: bench_sched_speed [--json <path>] [google-benchmark flags...]
 // --json <path> is shorthand for
@@ -26,6 +28,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -180,13 +183,14 @@ private:
     RequestMatrix prev_;
 };
 
-// The matrices lcf_central schedules in `slots` slots of an n-port
+// The matrices `scheduler` schedules in `slots` slots of an n-port
 // SwitchSim at uniform Bernoulli `load`, after `warmup` slots.
-RequestSequence capture_sequence(std::size_t n, double load,
-                                 std::uint64_t warmup, std::uint64_t slots) {
+RequestSequence capture_sequence(const std::string& scheduler, std::size_t n,
+                                 double load, std::uint64_t warmup,
+                                 std::uint64_t slots) {
     RequestSequence seq;
     auto capturing = std::make_unique<CapturingScheduler>(
-        lcf::core::make_scheduler("lcf_central"), warmup, seq);
+        lcf::core::make_scheduler(scheduler), warmup, seq);
     CapturingScheduler& capture = *capturing;
     lcf::sim::SimConfig config;
     config.ports = n;
@@ -203,21 +207,24 @@ RequestSequence capture_sequence(std::size_t n, double load,
 // capture_sequence() for one replay row, run once per process: the
 // library calls a benchmark function again for each iteration-count
 // trial, and a capture at n=256 takes about a second.
-const RequestSequence& cached_sequence(std::size_t n, std::int64_t load_pct) {
-    static std::map<std::pair<std::size_t, std::int64_t>, RequestSequence>
+const RequestSequence& cached_sequence(const std::string& scheduler,
+                                       std::size_t n, std::int64_t load_pct) {
+    static std::map<std::tuple<std::string, std::size_t, std::int64_t>,
+                    RequestSequence>
         cache;
-    const auto [it, fresh] = cache.try_emplace({n, load_pct});
+    const auto [it, fresh] = cache.try_emplace({scheduler, n, load_pct});
     if (fresh) {
         it->second = capture_sequence(
-            n, static_cast<double>(load_pct) / 100.0, 1000, 2000);
+            scheduler, n, static_cast<double>(load_pct) / 100.0, 1000, 2000);
     }
     return it->second;
 }
 
-void BM_LcfCentralReplay(benchmark::State& state) {
+// Replays the captured sequence of `scheduler` through that scheduler.
+void replay(benchmark::State& state, const std::string& scheduler) {
     const auto n = static_cast<std::size_t>(state.range(0));
-    const RequestSequence& seq = cached_sequence(n, state.range(1));
-    auto s = lcf::core::make_scheduler("lcf_central");
+    const RequestSequence& seq = cached_sequence(scheduler, n, state.range(1));
+    auto s = lcf::core::make_scheduler(scheduler);
     s->reset(n, n);
     // One persistent matrix, kept current through set() as SwitchSim
     // keeps its own; the timed loop includes those set() calls.
@@ -237,6 +244,11 @@ void BM_LcfCentralReplay(benchmark::State& state) {
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
+
+void BM_LcfCentralReplay(benchmark::State& state) {
+    replay(state, "lcf_central");
+}
+void BM_LcfDistReplay(benchmark::State& state) { replay(state, "lcf_dist"); }
 
 constexpr std::int64_t kRadices[] = {8, 16, 32, 64, 128, 256};
 
@@ -259,6 +271,7 @@ BENCHMARK(BM_Fifo)->Apply(radix_args);
 BENCHMARK(BM_MaxSize)->Apply(radix_args);
 BENCHMARK(BM_RtlDatapath)->Arg(8)->Arg(16)->Arg(32);
 BENCHMARK(BM_LcfCentralReplay)->ArgsProduct({{64, 128, 256}, {50, 90, 99}});
+BENCHMARK(BM_LcfDistReplay)->ArgsProduct({{64, 128, 256}, {50, 90, 99}});
 
 }  // namespace
 

@@ -4,7 +4,9 @@
 //
 //   1. read_trace_csv() either returns entries or throws
 //      std::runtime_error — no crash, no other exception type.
-//   2. Parsed entries round-trip: read_trace_csv(write_trace_csv(e)) == e.
+//   2. Parsed entries round-trip: read_trace_csv(write_trace_csv(e)) == e,
+//      also with a UTF-8 byte-order mark and a blank line in front of
+//      the header.
 //   3. TraceTraffic either builds and resets on a 16-port switch or
 //      throws std::invalid_argument. Once reset, its offered load lies in
 //      (0, 1] for a non-empty trace (0 for an empty one), and every entry
@@ -79,6 +81,13 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     LCF_FUZZ_ASSERT(entries == back,
                     "CSV round-trip changed %zu entries into %zu",
                     entries.size(), back.size());
+    std::istringstream marked("\xEF\xBB\xBF\r\n" + csv.str());
+    const std::vector<TraceEntry> back_marked =
+        lcf::traffic::read_trace_csv(marked);
+    LCF_FUZZ_ASSERT(entries == back_marked,
+                    "CSV round-trip behind a BOM and a blank line changed "
+                    "%zu entries into %zu",
+                    entries.size(), back_marked.size());
 
     // Property 3: the entries as a replayed workload.
     check_replay(entries);

@@ -23,6 +23,11 @@
 
 namespace lcf::core {
 
+namespace detail {
+template <std::size_t kWords>
+class NrqPlanes;
+}  // namespace detail
+
 /// Round-robin flavour of the central scheduler — §3 discusses a whole
 /// range of fairness/throughput trade-offs: "Variations of the
 /// round-robin scheduler are possible in that a single position, a row
@@ -90,25 +95,19 @@ public:
 private:
     /// Core of Figure 2, shared by schedule() and stage 2 of
     /// schedule_with_precalc(). `busy_*` marks ports consumed by stage 1.
-    /// Dispatches run_planes() on the input word count.
+    /// Runs run_planes() on the kernel width for the input count.
     void run_lcf(const sched::RequestMatrix& requests,
                  const util::BitVec* busy_inputs,
                  const util::BitVec* busy_outputs, sched::Matching& out);
-    /// The Figure-6 bus in word-parallel form over `kWords` 64-bit words
-    /// of inputs (0: the word count is known only at run time). NRQ is
-    /// held as bit planes across the inputs: plane b holds bit b of every
-    /// input's remaining-choices count, summed from the column view. For
-    /// each output, the candidates `col ∩ free_inputs` are narrowed from
-    /// the most significant plane down, keeping those with a 0 bit
-    /// whenever any has one (bus phase 1, the wired-AND minimum); the
-    /// winner is the first survivor at or after the rotating tie-break
-    /// start (phase 2). All candidates then lose one choice in one
-    /// ripple-borrow subtract across the planes. The per-output work has
-    /// no per-candidate loop. Bit-identical to
-    /// LcfCentralReferenceScheduler (enforced by the equivalence property
-    /// suite).
+    /// Figure 2 on the word-parallel Figure-6 bus (core/nrq_planes.hpp):
+    /// the NRQ planes are summed once over the competing outputs; then
+    /// each output in turn selects its least-choice candidate and all its
+    /// candidates lose one choice. The per-output work has no
+    /// per-candidate loop. Bit-identical to LcfCentralReferenceScheduler
+    /// (enforced by the equivalence property suite).
     template <std::size_t kWords>
-    void run_planes(const sched::RequestMatrix& requests,
+    void run_planes(detail::NrqPlanes<kWords>& planes,
+                    const sched::RequestMatrix& requests,
                     const util::BitVec* busy_inputs,
                     const util::BitVec* busy_outputs, sched::Matching& out);
     void advance_diagonal() noexcept;
@@ -118,8 +117,8 @@ private:
     std::size_t rr_output_ = 0;  // J in the pseudocode
     std::size_t n_in_ = 0;       // geometry of the last reset or schedule
     std::size_t n_out_ = 0;
-    // run_planes<0>() kernel words (NRQ planes, free inputs, candidates);
-    // the fixed-width instantiations keep theirs on the stack.
+    // Kernel words for the input counts without a fixed-width kernel;
+    // the fixed-width ones keep theirs on the stack.
     std::vector<std::uint64_t> words_;
     // schedule_with_precalc() stage-1 scratch (sized on first use).
     std::vector<util::BitVec> precalc_cols_;

@@ -1,16 +1,28 @@
 #include "core/lcf_dist.hpp"
 
+#include <algorithm>
+#include <limits>
+
+#include "core/nrq_planes.hpp"
+
 namespace lcf::core {
 
 namespace {
 
-/// Position of `idx` in the rotating priority chain that starts at
-/// `start` (both < n): 0 for the start position itself, n-1 for the one
-/// just before it. Replaces the reference's per-candidate `(base + k) % n`
-/// scan with one conditional subtraction per set bit.
-constexpr std::size_t rotated_rank(std::size_t idx, std::size_t start,
-                                   std::size_t n) noexcept {
-    return idx >= start ? idx - start : idx + n - start;
+/// `accept_key_` entry of an input without a grant: above every key.
+constexpr std::uint64_t kNoGrant = std::numeric_limits<std::uint64_t>::max();
+
+/// An accept key holds NGT above the rotated rank. Both are below 2^31
+/// (a Matching names ports by std::int32_t), so the key orders by NGT
+/// first and the rank recovers the output.
+constexpr unsigned kRankBits = 32;
+constexpr std::uint64_t kRankMask = (std::uint64_t{1} << kRankBits) - 1;
+
+/// (base + idx) mod n for base < n, with no division when idx < n.
+constexpr std::size_t add_mod(std::size_t base, std::size_t idx,
+                              std::size_t n) noexcept {
+    if (idx >= n) idx %= n;
+    return idx >= n - base ? idx - (n - base) : base + idx;
 }
 
 }  // namespace
@@ -29,95 +41,84 @@ std::size_t LcfDistScheduler::iterate(const sched::RequestMatrix& requests,
                                       sched::Matching& out) {
     const std::size_t n_in = requests.inputs();
     const std::size_t n_out = requests.outputs();
-
-    // Free-port masks: candidates of target j are col(j) ∩ free_inputs,
-    // and an initiator's NRQ is one word-parallel row ∩ free_outputs
-    // popcount instead of a find_next walk over every request bit.
-    if (free_inputs_.size() != n_in) {
-        free_inputs_ = util::BitVec(n_in);
-        cand_ = util::BitVec(n_in);
-    }
     if (free_outputs_.size() != n_out) free_outputs_ = util::BitVec(n_out);
-    for (std::size_t i = 0; i < n_in; ++i) {
-        free_inputs_.set(i, !out.input_matched(i));
-    }
-    for (std::size_t j = 0; j < n_out; ++j) {
-        free_outputs_.set(j, !out.output_matched(j));
+    if (accept_key_.size() != n_in) {
+        accept_key_.assign(n_in, kNoGrant);
+        offered_ = util::BitVec(n_in);
     }
 
-    // Entries are read only after this call wrote them, except
-    // accept_of_, which every iteration leaves all-unmatched again.
-    nrq_.resize(n_in);
-    ngt_.resize(n_out);
-    grant_to_.resize(n_out);
-    accept_of_.assign(n_in, sched::kUnmatched);
-    accept_ngt_.resize(n_in);
-    accept_rank_.resize(n_in);
+    // Free masks, word by word: an output is free unless matched, and
+    // each matched output names the one input it takes out.
+    const util::BitVec& matched = out.matched_outputs();
+    for (std::size_t k = 0; k < free_outputs_.word_count(); ++k) {
+        free_outputs_.set_word(k, ~matched.word(k));
+    }
+    std::size_t executed = 0;
+    detail::with_nrq_planes(n_in, words_, [&](auto& planes) {
+        for (const std::size_t j : matched.set_bits()) {
+            planes.take(static_cast<std::size_t>(out.input_of(j)));
+        }
+        executed = run_iterations(planes, requests, iterations, out);
+    });
+    return executed;
+}
+
+template <std::size_t kWords>
+std::size_t LcfDistScheduler::run_iterations(
+    detail::NrqPlanes<kWords>& planes, const sched::RequestMatrix& requests,
+    std::size_t iterations, sched::Matching& out) {
+    const std::size_t n_in = requests.inputs();
+    const std::size_t n_out = requests.outputs();
+    // Tie-break chain starts: (cycle_ + j) mod n_in for target j's grant,
+    // (cycle_ + i) mod n_out for initiator i's accept.
+    const std::size_t grant_base = n_in == 0 ? 0 : cycle_ % n_in;
+    const std::size_t accept_base = n_out == 0 ? 0 : cycle_ % n_out;
 
     std::size_t executed = 0;
     for (std::size_t iter = 0; iter < iterations; ++iter) {
         ++executed;
-        // Request: NRQ of an unmatched initiator = number of its requests
-        // to still-unmatched targets (its remaining choices).
-        for (const std::size_t i : free_inputs_.set_bits()) {
-            nrq_[i] = requests.row(i).and_count(free_outputs_);
-        }
-
         // Grant: each unmatched target grants the requester with the
         // lowest NRQ; the rotating chain starting at (cycle_ + j) breaks
-        // ties. NGT records how many requests the target saw. One walk
-        // of the candidate set bits replaces the rotated scan over all
-        // inputs: the chain order is the (NRQ, rotated rank) minimum.
-        granted_.clear();
+        // ties. NGT is how many requests the target saw. The grant goes
+        // straight into the initiator's accept key, which keeps the
+        // grant with the lowest NGT; the initiator's rotating chain
+        // starting at (cycle_ + i) breaks ties.
+        bool granted = false;
         for (const std::size_t j : free_outputs_.set_bits()) {
-            cand_.assign_and(requests.col(j), free_inputs_);
-            const std::size_t seen = cand_.count();
-            if (seen == 0) continue;
-            ngt_[j] = seen;
-            const std::size_t start = (cycle_ + j) % n_in;
-            std::size_t best = 0;
-            std::size_t best_nrq = n_out + 1;
-            std::size_t best_rank = n_in;
-            for (const std::size_t i : cand_.set_bits()) {
-                const std::size_t rank = rotated_rank(i, start, n_in);
-                if (nrq_[i] < best_nrq ||
-                    (nrq_[i] == best_nrq && rank < best_rank)) {
-                    best = i;
-                    best_nrq = nrq_[i];
-                    best_rank = rank;
-                }
+            if (!planes.load_candidates(requests.col(j))) continue;
+            if (!granted) {
+                // Request: NRQ of an unmatched initiator = number of its
+                // requests to still-unmatched targets (its remaining
+                // choices). Summed only once some target has a
+                // requester, so the iteration that finds none is cheap.
+                granted = true;
+                planes.sum_columns(requests, free_outputs_.set_bits());
+                planes.load_candidates(requests.col(j));
             }
-            grant_to_[j] = static_cast<std::int32_t>(best);
-            granted_.push_back(j);
+            const std::size_t i =
+                planes.least_choice(add_mod(grant_base, j, n_in));
+            const std::size_t start = add_mod(accept_base, i, n_out);
+            const std::size_t rank = j >= start ? j - start : j + n_out - start;
+            const std::uint64_t key =
+                (static_cast<std::uint64_t>(planes.candidate_count()) << kRankBits) |
+                rank;
+            accept_key_[i] = std::min(accept_key_[i], key);
+            offered_.set(i);
         }
-        if (granted_.empty()) break;  // converged
+        if (!granted) break;  // converged
 
-        // Accept: each initiator accepts the grant from the target with
-        // the lowest NGT; rotating chain starting at (cycle_ + i) breaks
-        // ties. One pass over the issued grants replaces the per-input
-        // scan over all targets.
-        for (const std::size_t j : granted_) {
-            const auto i = static_cast<std::size_t>(grant_to_[j]);
-            const std::size_t start = (cycle_ + i) % n_out;
-            const std::size_t rank = rotated_rank(j, start, n_out);
-            if (accept_of_[i] == sched::kUnmatched || ngt_[j] < accept_ngt_[i] ||
-                (ngt_[j] == accept_ngt_[i] && rank < accept_rank_[i])) {
-                accept_of_[i] = static_cast<std::int32_t>(j);
-                accept_ngt_[i] = ngt_[j];
-                accept_rank_[i] = rank;
-            }
+        // Accept: every initiator holding a grant takes its least key.
+        for (const std::size_t i : offered_.set_bits()) {
+            const std::size_t start = add_mod(accept_base, i, n_out);
+            const std::size_t j =
+                add_mod(start, static_cast<std::size_t>(accept_key_[i] & kRankMask),
+                        n_out);
+            accept_key_[i] = kNoGrant;
+            out.match(i, j);
+            planes.take(i);
+            free_outputs_.reset(j);
         }
-        for (const std::size_t j : granted_) {
-            const auto i = static_cast<std::size_t>(grant_to_[j]);
-            if (accept_of_[i] == static_cast<std::int32_t>(j)) {
-                out.match(i, j);
-                free_inputs_.reset(i);
-                free_outputs_.reset(j);
-            }
-        }
-        for (const std::size_t j : granted_) {  // reset for the next iteration
-            accept_of_[static_cast<std::size_t>(grant_to_[j])] = sched::kUnmatched;
-        }
+        offered_.clear();
     }
     return executed;
 }

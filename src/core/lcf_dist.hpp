@@ -25,6 +25,11 @@
 
 namespace lcf::core {
 
+namespace detail {
+template <std::size_t kWords>
+class NrqPlanes;
+}  // namespace detail
+
 /// Configuration of the distributed LCF scheduler.
 struct LcfDistOptions {
     /// Request/grant/accept iterations per scheduling cycle (paper: 4).
@@ -43,11 +48,14 @@ struct LcfDistOptions {
 /// every per-port tie-break pointer by one position each scheduling
 /// cycle, mirroring the hardware's PRIO shift registers (§4.2).
 ///
-/// Implementation: free-input/free-output BitVecs turn the NRQ
-/// recomputation into one row ∩ free_outputs popcount per initiator, and
-/// the grant/accept selections into walks over candidate set bits with a
-/// rotated-rank tie-break — no per-bit `requests.get(i, j)` probing and
-/// no `%` in the inner loops. Bit-identical to
+/// Implementation: each iteration is the Figure-6 bus over 64-bit words
+/// (core/nrq_planes.hpp). The NRQ planes are summed afresh over the
+/// outputs still free; each free output j narrows its candidates
+/// `col(j) ∩ free inputs` to the least NRQ and takes the first survivor
+/// from (cycle + j) mod n_in, and NGT is the candidate count. Each grant
+/// carries one (NGT, rotated rank) key, and an input accepts its least
+/// key. No step walks the candidates of an output. The free masks start
+/// word by word from the matching's matched outputs. Bit-identical to
 /// LcfDistReferenceScheduler (enforced by the equivalence suite).
 class LcfDistScheduler final : public sched::Scheduler {
 public:
@@ -86,6 +94,13 @@ public:
     }
 
 private:
+    /// The request/grant/accept iterations on the kernel width for the
+    /// input count.
+    template <std::size_t kWords>
+    std::size_t run_iterations(detail::NrqPlanes<kWords>& planes,
+                               const sched::RequestMatrix& requests,
+                               std::size_t iterations, sched::Matching& out);
+
     LcfDistOptions options_;
     std::size_t rr_input_ = 0;
     std::size_t rr_output_ = 0;
@@ -93,17 +108,13 @@ private:
     std::size_t last_iterations_ = 0;
     // iterate() scratch, reused across calls (resized on a geometry
     // change only).
-    util::BitVec free_inputs_;
+    std::vector<std::uint64_t> words_;  // kernel words without a fixed width
     util::BitVec free_outputs_;
-    util::BitVec cand_;
-    std::vector<std::size_t> nrq_;
-    std::vector<std::size_t> ngt_;
-    std::vector<std::int32_t> grant_to_;
-    std::vector<std::size_t> granted_;  // targets that issued a grant
-    // Per-initiator accept bookkeeping, reset each iteration.
-    std::vector<std::int32_t> accept_of_;
-    std::vector<std::size_t> accept_ngt_;
-    std::vector<std::size_t> accept_rank_;
+    // Per input: the least (NGT, rotated rank) key among the grants it
+    // holds this iteration, or kNoGrant. Every iteration leaves all
+    // entries kNoGrant again.
+    std::vector<std::uint64_t> accept_key_;
+    util::BitVec offered_;  // inputs holding a grant this iteration
 };
 
 }  // namespace lcf::core

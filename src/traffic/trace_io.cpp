@@ -5,6 +5,8 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 
 namespace lcf::traffic {
 
@@ -17,6 +19,9 @@ void write_trace_csv(std::ostream& out,
 }
 
 namespace {
+
+/// The UTF-8 byte-order mark some editors put at the start of a file.
+constexpr std::string_view kUtf8Bom = "\xEF\xBB\xBF";
 
 std::uint64_t parse_field(std::string_view field, std::size_t line_no) {
     std::uint64_t value{};
@@ -35,11 +40,16 @@ std::vector<TraceEntry> read_trace_csv(std::istream& in) {
     std::vector<TraceEntry> entries;
     std::string line;
     std::size_t line_no = 0;
+    bool first = true;  // no non-blank line seen yet
     while (std::getline(in, line)) {
         ++line_no;
+        if (line_no == 1 && line.starts_with(kUtf8Bom)) {
+            line.erase(0, kUtf8Bom.size());
+        }
         if (!line.empty() && line.back() == '\r') line.pop_back();
         if (line.empty()) continue;
-        if (line_no == 1 && line.rfind("slot", 0) == 0) continue;  // header
+        // One header row, as the first non-blank line.
+        if (std::exchange(first, false) && line.starts_with("slot")) continue;
         const auto c1 = line.find(',');
         const auto c2 = c1 == std::string::npos ? std::string::npos
                                                 : line.find(',', c1 + 1);

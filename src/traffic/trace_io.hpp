@@ -17,9 +17,10 @@ namespace lcf::traffic {
 /// Write entries as CSV with a `slot,input,destination` header.
 void write_trace_csv(std::ostream& out, const std::vector<TraceEntry>& entries);
 
-/// Parse a trace CSV (as produced by write_trace_csv; blank lines and
-/// a header row are tolerated). Throws std::runtime_error on malformed
-/// rows.
+/// Parse a trace CSV (as produced by write_trace_csv). Blank lines, a
+/// UTF-8 byte-order mark at the start of the file and one header row,
+/// the first non-blank line, are tolerated. Throws std::runtime_error
+/// on malformed rows.
 std::vector<TraceEntry> read_trace_csv(std::istream& in);
 
 /// Decorator that forwards to an inner generator while recording every

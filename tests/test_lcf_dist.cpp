@@ -10,6 +10,7 @@
 
 #include <set>
 
+#include "oracles/lcf_reference.hpp"
 #include "util/rng.hpp"
 
 namespace lcf::core {
@@ -127,6 +128,105 @@ TEST(LcfDist, IterateExtendsAPartialMatching) {
     sched.iterate(r, 4, m);
     EXPECT_EQ(m.output_of(0), 0);
     EXPECT_EQ(m.size(), 1u);  // I1's only choice T0 is taken
+}
+
+// iterate() returns the number of iterations begun. The one that finds
+// no grant counts too, so a call with nothing left to match returns 1,
+// not 0. Each case runs the word-parallel core and its per-bit twin from
+// the same partial matching and compares both the count and the result.
+std::size_t iterate_like_reference(const RequestMatrix& r,
+                                   std::size_t iterations, Matching& m) {
+    LcfDistScheduler opt;
+    LcfDistReferenceScheduler ref;
+    opt.reset(r.inputs(), r.outputs());
+    ref.reset(r.inputs(), r.outputs());
+    Matching m_ref = m;
+    const std::size_t executed = opt.iterate(r, iterations, m);
+    EXPECT_EQ(executed, ref.iterate(r, iterations, m_ref));
+    EXPECT_EQ(m, m_ref);
+    return executed;
+}
+
+TEST(LcfDist, IterateCountsFigure9SingleSteps) {
+    const RequestMatrix r = make_requests(
+        4, {{0, 2}, {1, 0}, {1, 2}, {1, 3}, {2, 0}, {2, 2}, {2, 3}, {3, 1},
+            {3, 3}});
+    Matching m(4);
+    EXPECT_EQ(iterate_like_reference(r, 1, m), 1u);  // iteration 0
+    EXPECT_EQ(m.size(), 3u);
+    EXPECT_EQ(iterate_like_reference(r, 1, m), 1u);  // iteration 1
+    EXPECT_EQ(m.size(), 4u);
+    EXPECT_EQ(iterate_like_reference(r, 1, m), 1u);  // nothing left
+    EXPECT_EQ(m.size(), 4u);
+    // The whole budget at once: two iterations that match, then one that
+    // finds no grant and stops.
+    Matching whole(4);
+    EXPECT_EQ(iterate_like_reference(r, 4, whole), 3u);
+    EXPECT_EQ(whole, m);
+    Matching none(4);
+    EXPECT_EQ(iterate_like_reference(r, 0, none), 0u);
+    EXPECT_EQ(none.size(), 0u);
+}
+
+TEST(LcfDist, IterateCountsEmptyAndFullyMatchedSwitches) {
+    Matching empty(0);
+    EXPECT_EQ(iterate_like_reference(RequestMatrix(0), 4, empty), 1u);
+
+    // Every input already matched, on a square switch and on one with
+    // free outputs left over.
+    for (const std::size_t outputs : {std::size_t{4}, std::size_t{6}}) {
+        RequestMatrix full(4, outputs);
+        for (std::size_t i = 0; i < 4; ++i) {
+            for (std::size_t j = 0; j < outputs; ++j) full.set(i, j);
+        }
+        Matching m(4, outputs);
+        for (std::size_t i = 0; i < 4; ++i) m.match(i, 3 - i);
+        const Matching before = m;
+        EXPECT_EQ(iterate_like_reference(full, 4, m), 1u) << outputs;
+        EXPECT_EQ(m, before) << outputs;
+    }
+}
+
+TEST(LcfDist, IterateMatchesReferenceFromRandomPartialMatchings) {
+    util::Xoshiro256 rng(2024);
+    for (const auto& [inputs, outputs] :
+         {std::pair<std::size_t, std::size_t>{8, 8}, {64, 64}, {67, 67},
+          {12, 20}, {20, 12}}) {
+        LcfDistScheduler opt;
+        LcfDistReferenceScheduler ref;
+        opt.reset(inputs, outputs);
+        ref.reset(inputs, outputs);
+        Matching scheduled, m_opt, m_ref;
+        for (int trial = 0; trial < 60; ++trial) {
+            RequestMatrix r(inputs, outputs);
+            const double density = 0.05 + 0.15 * (trial % 6);
+            for (std::size_t i = 0; i < inputs; ++i) {
+                for (std::size_t j = 0; j < outputs; ++j) {
+                    if (rng.next_bool(density)) r.set(i, j);
+                }
+            }
+            // A few pre-matched pairs, backed by a request or not, as a
+            // round-robin stage or an earlier iterate() leaves them.
+            m_opt.reset(inputs, outputs);
+            for (std::size_t k = 0; k < 4; ++k) {
+                const std::size_t i = rng.next_below(inputs);
+                const std::size_t j = rng.next_below(outputs);
+                if (!m_opt.input_matched(i) && !m_opt.output_matched(j)) {
+                    m_opt.match(i, j);
+                }
+            }
+            m_ref = m_opt;
+            const std::size_t budget = 1 + static_cast<std::size_t>(trial % 4);
+            ASSERT_EQ(opt.iterate(r, budget, m_opt),
+                      ref.iterate(r, budget, m_ref))
+                << inputs << "x" << outputs << ", trial " << trial;
+            ASSERT_EQ(m_opt, m_ref)
+                << inputs << "x" << outputs << ", trial " << trial;
+            // Advance both tie-break chains by one cycle.
+            opt.schedule(r, scheduled);
+            ref.schedule(r, scheduled);
+        }
+    }
 }
 
 TEST(LcfDist, RoundRobinPositionPreMatches) {

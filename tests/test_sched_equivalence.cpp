@@ -43,12 +43,13 @@ struct Geometry {
 
 // Square radices below, at, and above one 64-bit word, plus both
 // rectangular orientations. With the wide ones they reach every input
-// word count lcf_central's kernel is compiled for (1, 2 and 4 words; 3
-// and 8 words take the run-time-width fallback) and NRQs up to 256
+// word count the LCF cores' NRQ-plane kernel is compiled for (1, 2 and 4
+// words; 3 and 8 words take the run-time-width fallback), each full-word
+// edge (64: the Figure-12 perfbench geometry, 128) and NRQs up to 256
 // (67x256: 9 NRQ planes).
 const Geometry kGeometries[] = {
-    {16, 16},   {13, 13},   {67, 67},  {12, 20},  {20, 12},
-    {256, 256}, {512, 512}, {130, 130}, {67, 256}, {256, 67}};
+    {16, 16},   {13, 13},   {64, 64},   {67, 67},   {12, 20},  {20, 12},
+    {128, 128}, {256, 256}, {512, 512}, {130, 130}, {67, 256}, {256, 67}};
 
 // Densities cycled per scheduling cycle; the 0.0 and 1.0 extremes pin
 // the empty- and full-matrix edge cases.
@@ -174,8 +175,8 @@ TEST(SchedEquivalence, ReferenceNamesAreNotSchedulerNames) {
 // One RequestMatrix kept current through set() by a VOQ arrival and
 // departure process, the way SwitchSim drives it, instead of a fresh
 // random matrix per cycle: consecutive matrices differ in a few bits, and
-// the column view is never rebuilt. Every lcf_central variant and its
-// twin schedule the same matrix each slot.
+// the column view is never rebuilt. Every lcf_* scheduler and its twin
+// schedule the same matrix each slot.
 TEST(SchedEquivalence, PersistentMatrixReplay) {
     constexpr std::size_t kPorts = 256;
     constexpr std::size_t kSlots = 1000;
@@ -183,7 +184,6 @@ TEST(SchedEquivalence, PersistentMatrixReplay) {
     for (const double load : {0.5, 0.99}) {
         std::vector<std::unique_ptr<sched::Scheduler>> opt, ref;
         for (const std::string& name : names_with_twin(true)) {
-            if (!name.starts_with("lcf_central")) continue;
             opt.push_back(core::make_scheduler(name, config));
             ref.push_back(oracle::make_twin(name, config));
             opt.back()->reset(kPorts, kPorts);
@@ -206,6 +206,9 @@ TEST(SchedEquivalence, PersistentMatrixReplay) {
                 ref[s]->schedule(requests, m_ref);
                 ASSERT_EQ(m_opt, m_ref)
                     << opt[s]->name() << " diverges from its reference at slot "
+                    << slot << " (load " << load << ")";
+                ASSERT_EQ(opt[s]->last_iterations(), ref[s]->last_iterations())
+                    << opt[s]->name() << " iteration count diverges at slot "
                     << slot << " (load " << load << ")";
                 if (s == 0) departures = m_opt;
             }

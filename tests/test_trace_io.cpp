@@ -42,6 +42,37 @@ TEST(TraceIo, ToleratesCrlfAndBlankLines) {
     EXPECT_EQ(entries[1].destination, 6u);
 }
 
+TEST(TraceIo, HeaderMayFollowBlankLines) {
+    std::stringstream buf("\n\r\nslot,input,destination\n1,2,3\n");
+    const auto entries = read_trace_csv(buf);
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0], (TraceEntry{1, 2, 3}));
+}
+
+TEST(TraceIo, HeaderMayFollowAByteOrderMark) {
+    std::stringstream with_header("\xEF\xBB\xBFslot,input,destination\n4,5,6\n");
+    const auto entries = read_trace_csv(with_header);
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0], (TraceEntry{4, 5, 6}));
+    // A mark before a data row, or before the blank lines above a header.
+    std::stringstream data_row("\xEF\xBB\xBF" "7,8,9\n");
+    EXPECT_EQ(read_trace_csv(data_row), (std::vector<TraceEntry>{{7, 8, 9}}));
+    std::stringstream blank_first("\xEF\xBB\xBF\nslot,input,destination\n7,8,9\n");
+    EXPECT_EQ(read_trace_csv(blank_first),
+              (std::vector<TraceEntry>{{7, 8, 9}}));
+}
+
+TEST(TraceIo, OnlyOneHeaderRow) {
+    // A second header, or a header after data, is a malformed row.
+    std::stringstream twice("slot,input,destination\nslot,input,destination\n");
+    EXPECT_THROW(read_trace_csv(twice), std::runtime_error);
+    std::stringstream late("1,2,3\nslot,input,destination\n");
+    EXPECT_THROW(read_trace_csv(late), std::runtime_error);
+    // The mark counts only at the very start of the file.
+    std::stringstream late_mark("1,2,3\n\xEF\xBB\xBF" "4,5,6\n");
+    EXPECT_THROW(read_trace_csv(late_mark), std::runtime_error);
+}
+
 TEST(TraceIo, RejectsMalformedRows) {
     std::stringstream missing_field("1,2\n");
     EXPECT_THROW(read_trace_csv(missing_field), std::runtime_error);

@@ -12,8 +12,9 @@ Runs the Release-built benchmark binary over every registered benchmark
 baseline document with:
 
   - "results": human-oriented before/after rows — for sched_speed the
-    optimized-vs-reference-twin pairs, plus each BM_LcfCentralReplay row
-    paired against a pre-change run given via --before; for
+    optimized-vs-reference-twin pairs, plus each replay row
+    (BM_LcfCentralReplay, BM_LcfDistReplay) paired against a pre-change
+    run given via --before; for
     sim_throughput the slots/sec of each grid point paired against a
     pre-change run given via --before (the numbers quoted in
     docs/performance.md);
@@ -48,9 +49,10 @@ BENCHES = {
         "output": "BENCH_sched_speed.json",
         "workload": "random request matrices, density 0.35, "
                     "iterations 4 (iterative schedulers); "
-                    "BM_LcfCentralReplay/<n>/<load%>: the request "
+                    "BM_LcfCentralReplay/<n>/<load%> and "
+                    "BM_LcfDistReplay/<n>/<load%>: the request "
                     "matrices of a uniform-traffic SwitchSim under "
-                    "lcf_central, replayed through one matrix",
+                    "lcf_central or lcf_dist, replayed through one matrix",
     },
     "sim_throughput": {
         "binary": "bench_sim_throughput",
@@ -109,10 +111,10 @@ def slots_per_sec(doc):
 
 
 def replay_results(raw, before_raw):
-    """BM_LcfCentralReplay rows, each against the same row of --before."""
+    """BM_*Replay rows, each against the same row of --before."""
     results = []
     for name in sorted(raw):
-        if not name.startswith("BM_LcfCentralReplay/"):
+        if not re.match(r"BM_\w+Replay/", name):
             continue
         _, n, load = name.split("/")
         row = {"replay": name, "n": int(n), "load": int(load) / 100,
@@ -177,8 +179,8 @@ def main():
     parser.add_argument("--before", default=None,
                         help="pre-change google-benchmark JSON: its "
                              "slots/sec (sim_throughput) or its "
-                             "BM_LcfCentralReplay cpu ns (sched_speed) "
-                             "becomes the before side of each row")
+                             "replay rows' cpu ns (sched_speed) "
+                             "become the before side of each row")
     args = parser.parse_args()
 
     spec = BENCHES[args.bench]

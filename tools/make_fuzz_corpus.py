@@ -114,6 +114,10 @@ def trace_csv_corpus() -> dict[str, bytes]:
         # (slot + 1) * inputs overflows 64 bits: the offered load must
         # still be tiny and positive.
         "huge_slot": header + b"0,0,1\n18446744073709551615,3,2\n",
+        # The header is the first non-blank line, after an optional UTF-8
+        # byte-order mark.
+        "blank_then_header": b"\n\r\n" + header + rows,
+        "bom_header": b"\xef\xbb\xbf" + header + rows,
     }
 
 

@@ -36,11 +36,12 @@ run_gate() {
 }
 
 # Scheduler-level: schedule() microbenchmarks at n in {16, 64}, plus
-# lcf_central replaying real n=64 request sequences (the warm random
-# matrices hide branch-prediction costs a real sequence shows).
+# lcf_central and lcf_dist replaying real n=64 request sequences (the
+# warm random matrices hide branch-prediction costs a real sequence
+# shows).
 run_gate "$BUILD_DIR/bench/bench_sched_speed" \
     "$REPO_ROOT/BENCH_sched_speed.json" \
-    '/(16|64)$|^BM_LcfCentralReplay/64/' 0.05
+    '/(16|64)$|^BM_LcfCentralReplay/64/|^BM_LcfDistReplay/64/' 0.05
 
 # End-to-end: slots/sec at n in {16, 64}, load 0.9 (the n=256 points are
 # too slow for a smoke job; the committed baseline still records them),
