@@ -7,7 +7,7 @@
 //      request-backed grants, NRQ/NGT consistency, §3 diagonal-fairness
 //      window for the rotating variants, iteration budgets),
 //   2. schedulers with a per-bit twin (oracle::make_twin: the lcf_*
-//      `*_reference` transcriptions and the Figure-12 baseline oracles)
+//      `*_reference` transcriptions and the baseline oracles)
 //      stay bit-identical to it — matching AND last_iterations() — on
 //      adversarial request sequences, not just the random traffic the
 //      equivalence suite draws.

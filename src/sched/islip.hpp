@@ -6,48 +6,46 @@
 // first iteration — the property that desynchronises the pointers and
 // yields 100 % throughput under uniform traffic.
 
-#include "sched/scheduler.hpp"
+#include "sched/iterative_matcher.hpp"
 
 #include <vector>
 
-#include "util/bitvec.hpp"
-
 namespace lcf::sched {
 
-/// iSLIP with a configurable iteration count.
-///
-/// Word-parallel: an output's grant is the first set bit at or after its
-/// pointer in col(j) ∧ free inputs, and an input's accept is the first
-/// set bit at or after its pointer in the vector of outputs that granted
-/// it — the same rotated scans as the per-bit pseudocode, a word at a
-/// time.
-class IslipScheduler final : public Scheduler {
+/// iSLIP with a configurable iteration count. Grant and accept are the
+/// first set bit at or after the pointer: the rotated scans of the
+/// per-bit pseudocode, a word at a time.
+class IslipScheduler final : public IterativeMatcher<IslipScheduler> {
 public:
-    explicit IslipScheduler(const SchedulerConfig& config = {});
+    using IterativeMatcher::IterativeMatcher;
 
-    void reset(std::size_t inputs, std::size_t outputs) override;
-    void schedule(const RequestMatrix& requests, Matching& out) override;
     [[nodiscard]] std::string_view name() const noexcept override {
         return "islip";
     }
-    [[nodiscard]] std::size_t last_iterations() const noexcept override {
-        return last_iterations_;
-    }
-    [[nodiscard]] std::size_t iteration_limit() const noexcept override {
-        return iterations_;
-    }
 
 private:
-    std::size_t iterations_;
-    std::size_t last_iterations_ = 0;
+    friend IterativeMatcher;
+
+    void reset_state(std::size_t inputs, std::size_t outputs) {
+        grant_ptr_.assign(outputs, 0);
+        accept_ptr_.assign(inputs, 0);
+    }
+    std::size_t grant(std::size_t j, const util::BitVec& candidates,
+                      std::size_t /*iter*/) const {
+        return candidates.find_first_from(grant_ptr_[j]);
+    }
+    std::size_t accept(std::size_t i, const util::BitVec& granting,
+                       std::size_t iter) {
+        const std::size_t j = granting.find_first_from(accept_ptr_[i]);
+        if (iter == 0) {
+            grant_ptr_[j] = after(i, accept_ptr_.size());
+            accept_ptr_[i] = after(j, grant_ptr_.size());
+        }
+        return j;
+    }
+
     std::vector<std::size_t> grant_ptr_;   // per-output g[j], < inputs
     std::vector<std::size_t> accept_ptr_;  // per-input a[i], < outputs
-    // Scratch reused across slots.
-    util::BitVec free_inputs_;
-    util::BitVec free_outputs_;
-    util::BitVec granted_inputs_;           // inputs granted this iteration
-    std::vector<util::BitVec> granted_by_;  // per input: outputs granting it
-    util::BitVec candidates_;
 };
 
 }  // namespace lcf::sched

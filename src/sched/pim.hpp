@@ -4,46 +4,62 @@
 // both the grant and accept steps. The direct ancestor of the distributed
 // LCF scheduler, which replaces randomness with request-count priorities.
 
-#include "sched/scheduler.hpp"
+#include "sched/iterative_matcher.hpp"
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
-#include "util/bitvec.hpp"
 #include "util/rng.hpp"
 
 namespace lcf::sched {
 
 /// PIM with a configurable iteration count (paper's Figure 12 uses 4).
 ///
-/// An output's contenders are the set bits of col(j) ∧ free inputs,
-/// visited in ascending order, so reservoir sampling over them makes the
-/// same random draws as a per-bit scan of the column.
-class PimScheduler final : public Scheduler {
+/// A grant is a reservoir draw over the contenders, visited in ascending
+/// order, so it makes the same random draws as a per-bit scan of the
+/// column. An accept draws once among the granting outputs, and not at
+/// all when there is only one.
+class PimScheduler final : public IterativeMatcher<PimScheduler> {
 public:
-    explicit PimScheduler(const SchedulerConfig& config = {});
+    explicit PimScheduler(const SchedulerConfig& config = {})
+        : IterativeMatcher(config), rng_(config.seed), seed_(config.seed) {}
 
-    void reset(std::size_t inputs, std::size_t outputs) override;
-    void schedule(const RequestMatrix& requests, Matching& out) override;
     [[nodiscard]] std::string_view name() const noexcept override {
         return "pim";
     }
-    [[nodiscard]] std::size_t last_iterations() const noexcept override {
-        return last_iterations_;
-    }
-    [[nodiscard]] std::size_t iteration_limit() const noexcept override {
-        return iterations_;
-    }
 
 private:
-    std::size_t iterations_;
-    std::size_t last_iterations_ = 0;
+    friend IterativeMatcher;
+
+    void reset_state(std::size_t inputs, std::size_t /*outputs*/) {
+        rng_ = util::Xoshiro256(seed_);
+        grants_.assign(inputs, 0);
+    }
+    std::size_t grant(std::size_t /*j*/, const util::BitVec& candidates,
+                      std::size_t /*iter*/) {
+        std::size_t chosen = 0;
+        std::uint64_t seen = 0;
+        for (const std::size_t i : candidates.set_bits()) {
+            if (rng_.next_below(++seen) == 0) chosen = i;
+        }
+        ++grants_[chosen];
+        return chosen;
+    }
+    std::size_t accept(std::size_t i, const util::BitVec& granting,
+                       std::size_t /*iter*/) {
+        const std::size_t count = std::exchange(grants_[i], 0);
+        std::size_t pick =
+            count == 1 ? 0 : static_cast<std::size_t>(rng_.next_below(count));
+        for (const std::size_t j : granting.set_bits()) {
+            if (pick-- == 0) return j;
+        }
+        return util::BitVec::npos;  // unreachable: `count` bits are set
+    }
+
     util::Xoshiro256 rng_;
     std::uint64_t seed_;
-    // Scratch reused across slots to avoid per-slot allocation.
-    std::vector<std::vector<std::int32_t>> grants_;  // grants received per input
-    util::BitVec free_inputs_;
-    util::BitVec granted_inputs_;  // inputs holding a grant this iteration
-    util::BitVec candidates_;
+    std::vector<std::size_t> grants_;  // per input: grants this iteration
 };
 
 }  // namespace lcf::sched

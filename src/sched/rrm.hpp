@@ -1,42 +1,53 @@
 #pragma once
 // Round-Robin Matching (RRM) — iSLIP's direct predecessor (McKeown
 // 1995): identical request/grant/accept structure and rotating
-// pointers, but the pointers advance *unconditionally* past the
-// granted/accepted position every cycle. Under uniform full load the
-// grant pointers synchronise and throughput collapses toward ~63 %;
-// iSLIP's only change (move pointers solely on first-iteration
-// accepts) fixes exactly this. Included as an extension baseline so
-// the ablation benches can show the synchronisation effect.
+// pointers, but a grant pointer advances past every first-iteration
+// grant, accepted or not. Under uniform full load the grant pointers
+// synchronise and throughput collapses toward ~63 %; iSLIP's only
+// change (move pointers solely on first-iteration accepts) fixes
+// exactly this. Included as an extension baseline so the ablation
+// benches can show the synchronisation effect.
 
-#include "sched/scheduler.hpp"
+#include "sched/iterative_matcher.hpp"
 
 #include <vector>
 
 namespace lcf::sched {
 
 /// RRM with configurable iteration count.
-class RrmScheduler final : public Scheduler {
+class RrmScheduler final : public IterativeMatcher<RrmScheduler> {
 public:
-    explicit RrmScheduler(const SchedulerConfig& config = {});
+    using IterativeMatcher::IterativeMatcher;
 
-    void reset(std::size_t inputs, std::size_t outputs) override;
-    void schedule(const RequestMatrix& requests, Matching& out) override;
     [[nodiscard]] std::string_view name() const noexcept override {
         return "rrm";
     }
-    [[nodiscard]] std::size_t last_iterations() const noexcept override {
-        return last_iterations_;
-    }
-    [[nodiscard]] std::size_t iteration_limit() const noexcept override {
-        return iterations_;
-    }
 
 private:
-    std::size_t iterations_;
-    std::size_t last_iterations_ = 0;
-    std::vector<std::size_t> grant_ptr_;   // per-output
-    std::vector<std::size_t> accept_ptr_;  // per-input
-    std::vector<std::int32_t> grant_to_;   // scratch
+    friend IterativeMatcher;
+
+    void reset_state(std::size_t inputs, std::size_t outputs) {
+        grant_ptr_.assign(outputs, 0);
+        accept_ptr_.assign(inputs, 0);
+    }
+    std::size_t grant(std::size_t j, const util::BitVec& candidates,
+                      std::size_t iter) {
+        const std::size_t i = candidates.find_first_from(grant_ptr_[j]);
+        // RRM's defining flaw: the pointer moves whether or not the grant
+        // is accepted, so under symmetric load the grant pointers move in
+        // lock-step.
+        if (iter == 0) grant_ptr_[j] = after(i, candidates.size());
+        return i;
+    }
+    std::size_t accept(std::size_t i, const util::BitVec& granting,
+                       std::size_t iter) {
+        const std::size_t j = granting.find_first_from(accept_ptr_[i]);
+        if (iter == 0) accept_ptr_[i] = after(j, granting.size());
+        return j;
+    }
+
+    std::vector<std::size_t> grant_ptr_;   // per-output, < inputs
+    std::vector<std::size_t> accept_ptr_;  // per-input, < outputs
 };
 
 }  // namespace lcf::sched

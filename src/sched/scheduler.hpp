@@ -18,8 +18,8 @@ namespace lcf::sched {
 /// Per-scheduler configuration knobs. Only the fields a given algorithm
 /// uses are consulted; the rest are ignored.
 struct SchedulerConfig {
-    /// Iteration count for iterative matchers (PIM, iSLIP, distributed
-    /// LCF). The paper's Figure 12 uses 4.
+    /// Iteration count for iterative matchers (PIM, iSLIP, RRM, iLQF,
+    /// distributed LCF). The paper's Figure 12 uses 4.
     std::size_t iterations = 4;
     /// Seed for randomized algorithms (PIM).
     std::uint64_t seed = 1;

@@ -76,53 +76,10 @@ std::size_t BitVec::find_first_from(std::size_t pos) const noexcept {
     return npos;
 }
 
-std::size_t BitVec::and_count(const BitVec& other) const noexcept {
-    LCF_BITVEC_ASSERT(size_ == other.size_);
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-        total += static_cast<std::size_t>(
-            std::popcount(words_[i] & other.words_[i]));
-    }
-    return total;
-}
-
-bool BitVec::intersects(const BitVec& other) const noexcept {
-    LCF_BITVEC_ASSERT(size_ == other.size_);
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-        if ((words_[i] & other.words_[i]) != 0) return true;
-    }
-    return false;
-}
-
-BitVec& BitVec::operator&=(const BitVec& other) noexcept {
-    LCF_BITVEC_ASSERT(size_ == other.size_);
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
-    return *this;
-}
-
-BitVec& BitVec::operator|=(const BitVec& other) noexcept {
-    LCF_BITVEC_ASSERT(size_ == other.size_);
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-    return *this;
-}
-
-BitVec& BitVec::operator^=(const BitVec& other) noexcept {
-    LCF_BITVEC_ASSERT(size_ == other.size_);
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] ^= other.words_[i];
-    return *this;
-}
-
 BitVec& BitVec::subtract(const BitVec& other) noexcept {
     LCF_BITVEC_ASSERT(size_ == other.size_);
     for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= ~other.words_[i];
     return *this;
-}
-
-void BitVec::assign_subtract(const BitVec& src, const BitVec& mask) noexcept {
-    LCF_BITVEC_ASSERT(size_ == src.size_ && size_ == mask.size_);
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-        words_[i] = src.words_[i] & ~mask.words_[i];
-    }
 }
 
 std::string BitVec::to_string() const {

@@ -33,7 +33,7 @@ namespace lcf::util {
 /// A fixed-size vector of bits with word-parallel bulk operations.
 ///
 /// Unlike std::vector<bool> it exposes find_first()/find_next() scans and
-/// set-algebra operators, and unlike std::bitset its size is a runtime
+/// word-parallel masking, and unlike std::bitset its size is a runtime
 /// value (switch radix n is a configuration parameter everywhere in this
 /// library). Bits beyond size() are kept zero as a class invariant.
 class BitVec {
@@ -110,18 +110,6 @@ public:
     /// out-of-range pos is treated as 0 in release builds).
     [[nodiscard]] std::size_t find_first_from(std::size_t pos) const noexcept;
 
-    /// Popcount of (*this & other) without materializing the
-    /// intersection; both operands must have equal size.
-    [[nodiscard]] std::size_t and_count(const BitVec& other) const noexcept;
-    /// True when (*this & other) has at least one set bit.
-    [[nodiscard]] bool intersects(const BitVec& other) const noexcept;
-
-    /// In-place set intersection; both operands must have equal size.
-    BitVec& operator&=(const BitVec& other) noexcept;
-    /// In-place set union; both operands must have equal size.
-    BitVec& operator|=(const BitVec& other) noexcept;
-    /// In-place symmetric difference; both operands must have equal size.
-    BitVec& operator^=(const BitVec& other) noexcept;
     /// In-place set subtraction (this &= ~other); equal sizes required.
     BitVec& subtract(const BitVec& other) noexcept;
 
@@ -133,8 +121,6 @@ public:
             words_[i] = src.words_[i] & mask.words_[i];
         }
     }
-    /// Masked assign without a temporary: *this = src & ~mask.
-    void assign_subtract(const BitVec& src, const BitVec& mask) noexcept;
 
     /// Number of 64-bit storage words.
     [[nodiscard]] std::size_t word_count() const noexcept {

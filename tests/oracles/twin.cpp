@@ -48,6 +48,8 @@ constexpr core::SchedulerEntry kTwins[] = {
     {"fifo", baseline<FifoRrOracle>},
     {"lcf_central_rr_single", central<core::RrVariant::kSingle>},
     {"lcf_central_rr_first", central<core::RrVariant::kDiagonalFirst>},
+    {"ilqf", baseline<IlqfOracle>},
+    {"rrm", baseline<RrmOracle>},
 };
 
 }  // namespace

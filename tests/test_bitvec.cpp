@@ -95,32 +95,29 @@ TEST(BitVec, IterationVisitsExactlyTheSetBits) {
 }
 
 TEST(BitVec, SetAlgebra) {
-    BitVec a(70), b(70);
+    BitVec a(130), b(130);
     a.set(1);
     a.set(65);
+    a.set(129);
     b.set(1);
     b.set(2);
-
-    BitVec and_result = a;
-    and_result &= b;
-    EXPECT_TRUE(and_result.test(1));
-    EXPECT_FALSE(and_result.test(2));
-    EXPECT_FALSE(and_result.test(65));
-
-    BitVec or_result = a;
-    or_result |= b;
-    EXPECT_EQ(or_result.count(), 3u);
-
-    BitVec xor_result = a;
-    xor_result ^= b;
-    EXPECT_FALSE(xor_result.test(1));
-    EXPECT_TRUE(xor_result.test(2));
-    EXPECT_TRUE(xor_result.test(65));
+    b.set(129);
 
     BitVec sub_result = a;
     sub_result.subtract(b);
     EXPECT_FALSE(sub_result.test(1));
     EXPECT_TRUE(sub_result.test(65));
+    EXPECT_FALSE(sub_result.test(129));
+    EXPECT_EQ(sub_result.count(), 1u);
+
+    BitVec and_result(130);
+    and_result.assign_and(a, b);
+    EXPECT_TRUE(and_result.test(1));
+    EXPECT_TRUE(and_result.test(129));
+    EXPECT_EQ(and_result.count(), 2u);
+    // Aliasing: *this may be src.
+    and_result.assign_and(and_result, a);
+    EXPECT_EQ(and_result.count(), 2u);
 }
 
 TEST(BitVec, EqualityIncludesSize) {
@@ -207,40 +204,6 @@ TEST(BitVec, FindFirstFromEmptyAndNone) {
     EXPECT_EQ(empty.find_first_from(0), BitVec::npos);
     const BitVec none(77);
     EXPECT_EQ(none.find_first_from(33), BitVec::npos);
-}
-
-TEST(BitVec, AndCountMatchesMaterializedIntersection) {
-    Xoshiro256 rng(11);
-    for (const std::size_t n : {1u, 64u, 65u, 130u, 300u}) {
-        BitVec a(n), b(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (rng.next_bool(0.4)) a.set(i);
-            if (rng.next_bool(0.4)) b.set(i);
-        }
-        BitVec c = a;
-        c &= b;
-        EXPECT_EQ(a.and_count(b), c.count()) << n;
-        EXPECT_EQ(a.intersects(b), c.any()) << n;
-    }
-}
-
-TEST(BitVec, AssignAndAssignSubtract) {
-    BitVec src(130), mask(130), dst(130);
-    src.set(0);
-    src.set(64);
-    src.set(129);
-    mask.set(64);
-    dst.assign_and(src, mask);
-    EXPECT_EQ(dst.count(), 1u);
-    EXPECT_TRUE(dst.test(64));
-    dst.assign_subtract(src, mask);
-    EXPECT_EQ(dst.count(), 2u);
-    EXPECT_TRUE(dst.test(0));
-    EXPECT_TRUE(dst.test(129));
-    EXPECT_FALSE(dst.test(64));
-    // Aliasing: *this may be src.
-    dst.assign_subtract(dst, mask);  // mask bit 64 already absent
-    EXPECT_EQ(dst.count(), 2u);
 }
 
 TEST(BitVec, SetWordTrimsTailBits) {

@@ -4,8 +4,10 @@
 // per-bit transcription of the paper's pseudocode kept in
 // oracles/lcf_reference.hpp) on every cycle of a long randomized run,
 // over square and rectangular geometries and every round-robin variant.
-// The Figure-12 baselines (islip, pim, wfront, fifo) are held to the
-// same standard against the per-bit oracles in baseline_oracles.hpp.
+// The baselines (Figure 12's islip, pim, wfront and fifo, and the rrm
+// and ilqf extensions) are held to the same standard against the per-bit
+// oracles in baseline_oracles.hpp; ilqf's twin sees the same random
+// queue-length snapshot every cycle.
 // oracle::make_twin() builds either kind. Both twins keep their instance
 // across all cycles of a geometry, so diverging round-robin pointers or
 // RNG streams show up as a later mismatch. The optimized schedulers'
@@ -90,11 +92,21 @@ TEST_P(SchedEquivalence, BitIdenticalToReferenceOverRandomCycles) {
         checker.reset(g.inputs, g.outputs);
 
         util::Xoshiro256 rng(g.inputs * 1009 + g.outputs);
+        std::vector<std::uint32_t> lengths(g.inputs * g.outputs);
         sched::Matching m_opt, m_ref;
         for (std::size_t cycle = 0; cycle < cycles_for(g); ++cycle) {
             const double density =
                 kDensities[cycle % (sizeof(kDensities) / sizeof(double))];
             const sched::RequestMatrix r = random_requests(rng, g, density);
+            if (opt->wants_queue_lengths()) {
+                // One snapshot for both sides; weights 1..4 make ties
+                // common, so the rotated tie-break is checked too.
+                for (auto& length : lengths) {
+                    length = 1 + static_cast<std::uint32_t>(rng.next_below(4));
+                }
+                opt->observe_queue_lengths(lengths, g.outputs);
+                ref->observe_queue_lengths(lengths, g.outputs);
+            }
             opt->schedule(r, m_opt);
             ref->schedule(r, m_ref);
             ASSERT_EQ(m_opt, m_ref)
@@ -113,7 +125,7 @@ TEST_P(SchedEquivalence, BitIdenticalToReferenceOverRandomCycles) {
 }
 
 // The registered schedulers with a twin: the lcf_* families (`lcf`
-// true) or the Figure-12 baselines.
+// true) or the baselines.
 std::vector<std::string> names_with_twin(bool lcf) {
     std::vector<std::string> names;
     for (const auto& entry : core::scheduler_registry()) {
@@ -130,8 +142,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::ValuesIn(names_with_twin(true)),
     [](const auto& param_info) { return param_info.param; });
 
-// 20x12 gives wfront diagonals whose rows share an output; the random
-// dense matrices give fifo inputs with more than one (non-HOL) request.
+// Every baseline with a twin, rrm and ilqf included. 20x12 gives wfront
+// diagonals whose rows share an output; the random dense matrices give
+// fifo inputs with more than one (non-HOL) request.
 INSTANTIATE_TEST_SUITE_P(
     Fig12Baselines, SchedEquivalence,
     ::testing::ValuesIn(names_with_twin(false)),
@@ -143,7 +156,7 @@ TEST(SchedEquivalence, EveryOptimizedSchedulerHasATwin) {
     const std::set<std::string> expected = {
         "lcf_central", "lcf_central_rr", "lcf_central_rr_single",
         "lcf_central_rr_first", "lcf_dist", "lcf_dist_rr",
-        "islip", "pim", "wfront", "fifo"};
+        "islip", "pim", "wfront", "fifo", "rrm", "ilqf"};
     std::set<std::string> with_twin;
     for (const auto& entry : core::scheduler_registry()) {
         const auto twin = oracle::make_twin(entry.name);

@@ -80,6 +80,9 @@ def main():
     base_rev = baseline_doc.get("git_rev", "unknown")
     print(f"baseline: {args.baseline} "
           f"(build_type={base_build}, git_rev={base_rev})")
+    if base_rev.endswith("+dirty"):
+        print(f"note: the baseline was recorded from uncommitted changes "
+              f"on top of {base_rev.removesuffix('+dirty')}")
     if (args.fresh_build_type is not None
             and base_build != "unknown"
             and args.fresh_build_type.lower() != base_build.lower()):

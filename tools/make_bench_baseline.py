@@ -21,7 +21,8 @@ baseline document with:
   - "raw": the flat {benchmark name: cpu ns} map tools/compare_bench.py
     checks CI runs against;
   - "build_type" (read from the build dir's CMakeCache.txt — NOT the
-    google-benchmark library's build flavour) and "git_rev", so
+    google-benchmark library's build flavour) and "git_rev" (suffixed
+    "+dirty" when recorded from uncommitted changes), so
     compare_bench.py can warn when a Release run is compared against a
     Debug baseline or vice versa.
 
@@ -78,10 +79,15 @@ def read_build_type(build_dir):
 
 
 def read_git_rev():
+    """Short HEAD hash, with "+dirty" when the tree has changes that are
+    not committed (tracked or untracked, ignored files aside): the
+    baseline then measures code that HEAD does not hold."""
+    def git(*args):
+        return subprocess.run(["git", *args], capture_output=True, text=True,
+                              check=True).stdout.strip()
     try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, check=True).stdout.strip()
+        rev = git("rev-parse", "--short", "HEAD")
+        return rev + "+dirty" if git("status", "--porcelain") else rev
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
 
